@@ -324,28 +324,11 @@ class VerificationCache:
         return monitor
 
     def store_monitor(self, key: str, monitor) -> None:
-        """Pickle ``monitor`` with its memo tables cleared, so a loaded
-        monitor's memo-economics counters match a freshly compiled one
-        and observability stays run-for-run identical."""
-        saved = (
-            monitor._verdict_cache,
-            monitor.verdict_memo_hits,
-            monitor.verdict_memo_misses,
-            [(n.memo_hits, n.memo_misses) for n in monitor.nfas],
-        )
-        monitor._verdict_cache = {}
-        monitor.verdict_memo_hits = monitor.verdict_memo_misses = 0
-        for nfa in monitor.nfas:
-            nfa.memo_hits = nfa.memo_misses = 0
-        try:
-            data = pickle.dumps(monitor, protocol=4)
-        finally:
-            monitor._verdict_cache = saved[0]
-            monitor.verdict_memo_hits = saved[1]
-            monitor.verdict_memo_misses = saved[2]
-            for nfa, (hits, misses) in zip(monitor.nfas, saved[3]):
-                nfa.memo_hits, nfa.memo_misses = hits, misses
-        self._write("nfa", key, data)
+        """Pickle ``monitor``; its pickle carries no memo tables or
+        counters, so a loaded monitor's memo-economics counters match a
+        freshly compiled one and observability stays run-for-run
+        identical."""
+        self._write("nfa", key, pickle.dumps(monitor, protocol=4))
 
     # -- difftest oracle tier -------------------------------------------
 

@@ -373,8 +373,14 @@ class RTLCheck:
                     )
             else:
                 with obs.span("proof", test=test.name) as proof_span:
-                    for directive in generated.assertions:
-                        monitor = self._monitor(directive)
+                    monitors = [self._monitor(d) for d in generated.assertions]
+                    if self.use_reach_graph:
+                        # One letter alphabet for the whole test, so each
+                        # edge's letter is computed once for every walk.
+                        explorer.set_alphabet(
+                            frozenset().union(*(m.signals for m in monitors))
+                        )
+                    for directive, monitor in zip(generated.assertions, monitors):
                         ground_truth = explorer.check_property(
                             monitor, EXPLORER_BUDGET
                         )
@@ -465,8 +471,9 @@ class RTLCheck:
 
     @staticmethod
     def _flush_monitor_counters(recorder, monitor: PropertyMonitor) -> None:
-        """Fold one property monitor's memo accumulators into the
-        recorder (monitors are per-property, so flush after each check)."""
+        """Fold one property monitor's memo and DFA-table accumulators
+        into the recorder (monitors are per-property, so flush after
+        each check).  The memo counters count table-miss work only."""
         recorder.count("monitor.verdict_memo_hits", monitor.verdict_memo_hits)
         recorder.count("monitor.verdict_memo_misses", monitor.verdict_memo_misses)
         recorder.count(
@@ -475,6 +482,10 @@ class RTLCheck:
         recorder.count(
             "nfa.predicate_memo_misses", sum(n.memo_misses for n in monitor.nfas)
         )
+        recorder.count("monitor.dfa_states", monitor.dfa_states)
+        recorder.count("monitor.table_hits", monitor.table_hits)
+        recorder.count("monitor.table_misses", monitor.table_misses)
+        recorder.count("monitor.letters", monitor.letters)
 
     @staticmethod
     def _collect_coverage(

@@ -15,7 +15,7 @@ compile itself for the trace monitor in :mod:`repro.sva.monitor`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.errors import SvaError
 from repro.rtl.design import Frame
@@ -34,6 +34,16 @@ class BoolExpr:
     def evaluate(self, frame: Frame) -> bool:
         raise NotImplementedError
 
+    def signals(self) -> FrozenSet[str]:
+        """Names of the frame signals :meth:`evaluate` reads.  Two
+        frames that agree on these evaluate identically, which is what
+        lets the graph explorer memoize monitor steps per letter; a
+        node type that does not declare its reads must not be memoized,
+        so the base class refuses."""
+        raise SvaError(
+            f"{type(self).__name__} does not declare the signals it reads"
+        )
+
 
 @dataclass(frozen=True)
 class BConst(BoolExpr):
@@ -44,6 +54,9 @@ class BConst(BoolExpr):
 
     def evaluate(self, frame: Frame) -> bool:
         return self.value
+
+    def signals(self) -> FrozenSet[str]:
+        return frozenset()
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,9 @@ class Sig(BoolExpr):
 
     def evaluate(self, frame: Frame) -> bool:
         return bool(frame.get(self.name, 0))
+
+    def signals(self) -> FrozenSet[str]:
+        return frozenset((self.name,))
 
 
 @dataclass(frozen=True)
@@ -73,6 +89,9 @@ class SigEq(BoolExpr):
     def evaluate(self, frame: Frame) -> bool:
         return frame.get(self.name, 0) == self.value
 
+    def signals(self) -> FrozenSet[str]:
+        return frozenset((self.name,))
+
 
 @dataclass(frozen=True)
 class BNot(BoolExpr):
@@ -83,6 +102,9 @@ class BNot(BoolExpr):
 
     def evaluate(self, frame: Frame) -> bool:
         return not self.body.evaluate(frame)
+
+    def signals(self) -> FrozenSet[str]:
+        return self.body.signals()
 
 
 @dataclass(frozen=True)
@@ -95,6 +117,9 @@ class BAnd(BoolExpr):
     def evaluate(self, frame: Frame) -> bool:
         return all(op.evaluate(frame) for op in self.operands)
 
+    def signals(self) -> FrozenSet[str]:
+        return frozenset().union(*(op.signals() for op in self.operands))
+
 
 @dataclass(frozen=True)
 class BOr(BoolExpr):
@@ -105,6 +130,9 @@ class BOr(BoolExpr):
 
     def evaluate(self, frame: Frame) -> bool:
         return any(op.evaluate(frame) for op in self.operands)
+
+    def signals(self) -> FrozenSet[str]:
+        return frozenset().union(*(op.signals() for op in self.operands))
 
 
 def _paren(expr: BoolExpr) -> str:

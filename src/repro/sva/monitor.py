@@ -44,6 +44,16 @@ _PENDING, _MATCHED, _FAILED = 0, 1, 2
 #: Three-valued verdicts.
 TRUE, FALSE, UNKNOWN = True, False, None
 
+#: Per-monitor observability accumulators (see ``PropertyMonitor``).
+_COUNTERS = (
+    "verdict_memo_hits",
+    "verdict_memo_misses",
+    "dfa_states",
+    "table_hits",
+    "table_misses",
+    "letters",
+)
+
 
 @dataclass(frozen=True)
 class _Node:
@@ -74,6 +84,19 @@ class PropertyMonitor:
         self.nfas: List[Nfa] = []
         self.nodes: List[_Node] = []
         self.root = self._build(body)
+        # Epsilon elimination shares predicate objects across edges.
+        exprs = {
+            id(expr): expr
+            for nfa in self.nfas
+            for edges in nfa.transitions.values()
+            for expr, _target in edges
+        }
+        #: Frame signals :meth:`step` reads.  Frames that agree on them
+        #: step every NFA identically, so a walk may memoize steps on
+        #: the frame's projection onto this set (its *letter*).
+        self.signals: FrozenSet[str] = frozenset().union(
+            *(expr.signals() for expr in exprs.values())
+        )
         # The three-valued verdict is a pure function of the leaf-status
         # tuple; explorers query it once per transition, so memoize.
         self._verdict_cache: dict = {}
@@ -81,12 +104,28 @@ class PropertyMonitor:
         #: the RTLCheck flow after each property check.
         self.verdict_memo_hits = 0
         self.verdict_memo_misses = 0
+        #: DFA-table economics of the graph explorer's walks over this
+        #: monitor (interned states, ``(state, letter)`` lookups served
+        #: and filled, distinct letters stepped on), flushed likewise.
+        self.dfa_states = 0
+        self.table_hits = 0
+        self.table_misses = 0
+        self.letters = 0
         for nfa in self.nfas:
             if nfa.starts_accepting():
                 raise SvaError(
                     f"{directive.name}: sequence admits an empty match; "
                     "generated sequences must consume at least one cycle"
                 )
+
+    def __getstate__(self):
+        # Pickles (the cache's NFA tier) carry no memo entries or
+        # counters, so a loaded monitor counts like a fresh one.
+        state = dict(self.__dict__)
+        state["_verdict_cache"] = {}
+        for name in _COUNTERS:
+            state[name] = 0
+        return state
 
     def _build(self, prop: Property) -> int:
         if isinstance(prop, PSeq):

@@ -40,6 +40,10 @@ class Nfa:
     memo_hits: int = 0
     memo_misses: int = 0
 
+    def __getstate__(self):
+        # Pickles carry no memo counters (see ``PropertyMonitor``).
+        return {**self.__dict__, "memo_hits": 0, "memo_misses": 0}
+
     def initial(self) -> FrozenSet[int]:
         return self.start_states
 

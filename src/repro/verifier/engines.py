@@ -62,15 +62,27 @@ PROOF_HOURS_OFFSET = -909.11
 JITTER_AMPLITUDE = 0.20
 
 
+def _saturating_exp(exponent: float) -> float:
+    """``math.exp`` that saturates to infinity instead of raising
+    ``OverflowError``: a walk too large to price is beyond every
+    allotment, and callers clamp or compare against allotments."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        return math.inf
+
+
 def modeled_hours(transitions: int) -> float:
     """Covering-trace phase: modeled hours for ``transitions``."""
-    return math.exp((transitions - COVER_ONE_HOUR_TRANSITIONS) / COVER_HOURS_SCALE)
+    return _saturating_exp(
+        (transitions - COVER_ONE_HOUR_TRANSITIONS) / COVER_HOURS_SCALE
+    )
 
 
 def proof_hours(transitions: int) -> float:
     """Proof phase: modeled hours to fully prove a property whose
     product exploration takes ``transitions``."""
-    return math.exp((transitions - PROOF_HOURS_OFFSET) / PROOF_HOURS_SCALE)
+    return _saturating_exp((transitions - PROOF_HOURS_OFFSET) / PROOF_HOURS_SCALE)
 
 
 def transitions_within(hours: float) -> float:

@@ -34,7 +34,8 @@ Three details make the replay exact:
   root carries ``first=1``; child lookups always use ``first=0``, so a
   re-reached reset snapshot becomes a distinct ``first=0`` node.
 * Product-walk ``visited`` sets are keyed by the *snapshot* (not the
-  node id), matching the per-property explorer's deduplication.
+  node id), matching the per-property explorer's deduplication; the
+  walk names snapshots by :meth:`ReachGraph.snap_id` ints.
 * Expansion is lazy: a node's edges are simulated on first access, so
   a budget-truncated walk expands exactly the design states it touches
   and budgets behave identically.
@@ -42,6 +43,14 @@ Three details make the replay exact:
 Cached frames are shared between the graph and every result that
 references them (counterexample traces included); treat them as
 read-only.
+
+Property walks step monitors through a lazily built DFA: each live
+edge carries a *letter* (its frame's values on the test's assertion
+signals, interned per test run), monitor states are interned as ints,
+and ``(state, letter) -> (next state, verdict)`` is filled on first use
+with the edge's real frame.  Letters depend on the assertions, hence on
+the µspec model, which the reach-graph cache key excludes; they live on
+the explorer and are never pickled with the graph.
 
 The graph's cache economics are observable: ``sim_transitions`` counts
 the design evaluations actually paid (cache misses), ``cache_hits``
@@ -52,7 +61,7 @@ flushed to :mod:`repro.obs` counters by the RTLCheck flow.
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import AbstractSet, Dict, Hashable, List, Optional, Tuple
 
 from repro.rtl.design import Design, Frame
 from repro.sva.monitor import AssumptionChecker, PropertyMonitor
@@ -109,6 +118,12 @@ class ReachGraph:
     def snap(self, node: int) -> Hashable:
         """The design snapshot of ``node`` (the dedup key)."""
         return self._keys[node][0]
+
+    def snap_id(self, node: int) -> int:
+        """An int naming ``node``'s snapshot.  Nodes differ only in
+        ``first``, which only the root sets, so this is the node id —
+        except that a re-reached reset snapshot shares the root's."""
+        return self._ids.get((self._keys[node][0], 1), node)
 
     @property
     def num_nodes(self) -> int:
@@ -219,18 +234,63 @@ class GraphExplorer(InstrumentedExplorer):
         self.graph = graph if graph is not None else ReachGraph(design, assumptions)
         self.assumptions = self.graph.assumptions
         self.input_space = self.graph.input_space
+        self.set_alphabet(())
+
+    def set_alphabet(self, signals: AbstractSet[str]) -> None:
+        """Project edge frames onto ``signals`` to form letters.  Set it
+        to the union of a test's assertion signals before the proof
+        loop, so letters are computed once per node for every walk; a
+        monitor reading a signal outside it widens it (and recomputes
+        letters) on its walk."""
+        self._alphabet = tuple(sorted(signals))
+        self._letter_ids: Dict[Tuple[int, ...], int] = {}
+        #: node -> (edge letters, child snapshot ids), parallel to the
+        #: node's ``live_successors`` list.
+        self._node_letters: Dict[int, Tuple[List[int], List[int]]] = {}
+
+    def _letters(self, node: int, live) -> Tuple[List[int], List[int]]:
+        """Letters and child snapshot ids of ``node``'s live edges,
+        built from its ``live_successors`` list on first use."""
+        entry = self._node_letters.get(node)
+        if entry is None:
+            alphabet = self._alphabet
+            letter_ids = self._letter_ids
+            snap_id = self.graph.snap_id
+            letters = []
+            for _index, _inputs, frame, _child in live:
+                value = tuple([frame.get(name, 0) for name in alphabet])
+                letter = letter_ids.get(value)
+                if letter is None:
+                    letter = letter_ids[value] = len(letter_ids)
+                letters.append(letter)
+            entry = (letters, [snap_id(edge[3]) for edge in live])
+            self._node_letters[node] = entry
+        return entry
 
     # ------------------------------------------------------------------
 
     def _check_property(
         self, monitor: PropertyMonitor, budget: Budget
     ) -> ExplorationResult:
-        """Verify one assertion as a product walk over the cached graph."""
+        """Verify one assertion as a product walk over the cached graph.
+
+        Product states are ``(snapshot id, monitor state id)`` ints.
+        ``rows[state][letter]`` holds ``(next state, verdict)``; on a
+        miss ``monitor.step``/``monitor.verdict`` run on the edge's
+        real frame, which any frame with the same letter would match.
+        """
+        if not monitor.signals <= set(self._alphabet):
+            self.set_alphabet(monitor.signals.union(self._alphabet))
         graph = self.graph
-        root_key = (graph.snap(graph.root), monitor.initial())
+        initial = monitor.initial()
+        mon_states = [initial]
+        mon_ids = {initial: 0}
+        rows: List[Dict[int, Tuple[int, Optional[bool]]]] = [{}]
+        hits = misses = 0
+        root_key = (graph.snap_id(graph.root), 0)
         visited = {root_key}
-        frontier: List[Tuple[int, Tuple]] = [(graph.root, monitor.initial())]
-        parents: Dict[Tuple, Tuple] = {root_key: None}
+        frontier: List[Tuple[int, Tuple[int, int]]] = [(graph.root, root_key)]
+        parents: Dict[Tuple[int, int], Optional[Tuple]] = {root_key: None}
         result = ExplorationResult(verdict=UNKNOWN)
         depth = 0
 
@@ -239,45 +299,64 @@ class GraphExplorer(InstrumentedExplorer):
                 result.verdict = BOUNDED
                 result.depth_completed = depth
                 result.states_explored = len(visited)
+                _record_table(monitor, rows, hits, misses)
                 return result
-            next_frontier: List[Tuple[int, Tuple]] = []
+            next_frontier: List[Tuple[int, Tuple[int, int]]] = []
             layer_start = result.transitions
-            for node, mon_state in frontier:
-                node_key = (graph.snap(node), mon_state)
+            for node, node_key in frontier:
                 # Fast path: iterate only the live edges; the input index
                 # recovers the per-property explorer's transition count,
                 # which includes the pruned edges in between.
                 base = result.transitions
-                for index, inputs, frame, child_node in graph.live_successors(node):
-                    result.transitions = base + index + 1
-                    new_mon = monitor.step(mon_state, frame)
-                    verdict = monitor.verdict(new_mon)
+                live = graph.live_successors(node)
+                letters, child_snaps = self._letters(node, live)
+                row = rows[node_key[1]]
+                for (index, inputs, frame, child_node), letter, child_snap in zip(
+                    live, letters, child_snaps
+                ):
+                    step = row.get(letter)
+                    if step is None:
+                        misses += 1
+                        new_mon = monitor.step(mon_states[node_key[1]], frame)
+                        state = mon_ids.get(new_mon)
+                        if state is None:
+                            state = mon_ids[new_mon] = len(mon_states)
+                            mon_states.append(new_mon)
+                            rows.append({})
+                        step = row[letter] = (state, monitor.verdict(new_mon))
+                    else:
+                        hits += 1
+                    state, verdict = step
                     if verdict is False:
                         trace = Explorer._rebuild_trace(parents, node_key)
                         trace.append((dict(inputs), frame))
                         result.verdict = FAILED
+                        result.transitions = base + index + 1
                         result.depth_completed = depth + 1
                         result.states_explored = len(visited)
                         result.counterexample = trace
                         result.layer_transitions.append(
                             result.transitions - layer_start
                         )
+                        _record_table(monitor, rows, hits, misses)
                         return result
                     if verdict is True:
                         continue  # every extension satisfies the property
-                    child_key = (graph.snap(child_node), new_mon)
+                    child_key = (child_snap, state)
                     if child_key not in visited:
                         if len(visited) >= budget.max_states:
                             result.verdict = BOUNDED
+                            result.transitions = base + index + 1
                             result.depth_completed = depth
                             result.states_explored = len(visited)
                             result.layer_transitions.append(
                                 result.transitions - layer_start
                             )
+                            _record_table(monitor, rows, hits, misses)
                             return result
                         visited.add(child_key)
                         parents[child_key] = (node_key, dict(inputs), frame)
-                        next_frontier.append((child_node, new_mon))
+                        next_frontier.append((child_node, child_key))
                 result.transitions = base + len(self.input_space)
             result.layer_transitions.append(result.transitions - layer_start)
             frontier = next_frontier
@@ -287,6 +366,7 @@ class GraphExplorer(InstrumentedExplorer):
         result.exhausted = True
         result.depth_completed = depth
         result.states_explored = len(visited)
+        _record_table(monitor, rows, hits, misses)
         return result
 
     # ------------------------------------------------------------------
@@ -338,3 +418,16 @@ class GraphExplorer(InstrumentedExplorer):
         result.depth_completed = depth
         result.states_explored = len(visited)
         return result
+
+
+def _record_table(
+    monitor: PropertyMonitor,
+    rows: List[Dict[int, Tuple[int, Optional[bool]]]],
+    hits: int,
+    misses: int,
+) -> None:
+    """Fold one walk's DFA-table economics into ``monitor``'s counters."""
+    monitor.dfa_states += len(rows)
+    monitor.table_hits += hits
+    monitor.table_misses += misses
+    monitor.letters += len(set().union(*rows))

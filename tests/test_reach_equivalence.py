@@ -11,11 +11,39 @@ over the full 56-test suite and on the buggy-memory counterexample
 path.
 """
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CONFIGS, RTLCheck, get_test, paper_suite
+from repro.errors import SvaError
+from repro.sva import Directive, PImpl, PropertyMonitor, PSeq, SBool, Sig
+from repro.sva.ast import BoolExpr, band
 from repro.verifier import Budget, Explorer, GraphExplorer
 from repro.verifier.config import EXPLORER_BUDGET
+
+TRUNCATED_BUDGETS = pytest.mark.parametrize(
+    "budget",
+    [
+        Budget(max_states=5, max_depth=3),
+        Budget(max_states=10, max_depth=2),
+        Budget(max_states=2_000_000, max_depth=4),
+    ],
+    ids=["tiny-states", "tiny-both", "depth-only"],
+)
+
+
+@lru_cache(maxsize=None)
+def _assertions(name):
+    return tuple(RTLCheck().generate(get_test(name)).assertions)
+
+
+def _sample(directives, count):
+    """``count`` directives spread evenly over ``directives``."""
+    step = max(len(directives) // count, 1)
+    return directives[::step][:count]
 
 
 def _assert_explorations_equal(graph, seed, context):
@@ -80,7 +108,8 @@ class TestFullSuiteEquivalence:
 
 
 class TestExplorerLevelEquivalence:
-    def _pair(self, name, variant="fixed"):
+    @staticmethod
+    def _pair(name, variant="fixed"):
         from repro.litmus import compile_test
         from repro.mapping import MultiVScaleProgramMapping
         from repro.sva import AssumptionChecker
@@ -104,15 +133,7 @@ class TestExplorerLevelEquivalence:
             "iwp24:cover",
         )
 
-    @pytest.mark.parametrize(
-        "budget",
-        [
-            Budget(max_states=5, max_depth=3),
-            Budget(max_states=10, max_depth=2),
-            Budget(max_states=2_000_000, max_depth=4),
-        ],
-        ids=["tiny-states", "tiny-both", "depth-only"],
-    )
+    @TRUNCATED_BUDGETS
     def test_truncated_budgets_agree(self, budget):
         """Budget-truncated walks stop at the same expansion in both
         explorers (the graph expands lazily, so a truncated walk never
@@ -133,3 +154,112 @@ class TestExplorerLevelEquivalence:
         assert sims_after_cover > 0
         graph.cover_assumptions(EXPLORER_BUDGET)
         assert graph.graph.sim_transitions == sims_after_cover
+
+    @TRUNCATED_BUDGETS
+    def test_truncated_property_walks_agree(self, budget):
+        """The DFA-table walk stops at the same product state as the
+        per-property explorer under every truncating budget."""
+        graph, seed = self._pair("iwp24")
+        for directive in _sample(_assertions("iwp24"), 6):
+            _assert_explorations_equal(
+                graph.check_property(PropertyMonitor(directive), budget),
+                seed.check_property(PropertyMonitor(directive), budget),
+                f"iwp24:{directive.name}",
+            )
+
+    def test_heavy_buggy_counterexamples_agree(self):
+        """amd3's buggy-memory counterexamples replay identically when
+        the walk runs over a test-wide letter alphabet, as in RTLCheck."""
+        graph, seed = self._pair("amd3", "buggy")
+        directives = [d for d in _assertions("amd3") if "Read_Values" in d.name]
+        monitors = [PropertyMonitor(d) for d in directives]
+        graph.set_alphabet(frozenset().union(*(m.signals for m in monitors)))
+        for directive, monitor in zip(directives, monitors):
+            result = graph.check_property(monitor, EXPLORER_BUDGET)
+            assert result.verdict == "cex", directive.name
+            _assert_explorations_equal(
+                result,
+                seed.check_property(PropertyMonitor(directive), EXPLORER_BUDGET),
+                f"amd3:{directive.name}",
+            )
+
+    def test_alphabet_widens_for_unseen_signals(self):
+        """A monitor reading signals outside the set alphabet widens it
+        instead of stepping on letters that cannot tell its frames apart."""
+        graph, seed = self._pair("iwp24")
+        graph.set_alphabet(frozenset())
+        directive = _assertions("iwp24")[0]
+        _assert_explorations_equal(
+            graph.check_property(PropertyMonitor(directive), EXPLORER_BUDGET),
+            seed.check_property(PropertyMonitor(directive), EXPLORER_BUDGET),
+            f"iwp24:{directive.name}",
+        )
+
+
+class TestLetterSoundness:
+    """Memoizing monitor steps on letters is sound only if a monitor's
+    step reads nothing outside its declared signal set."""
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _material():
+        """Monitors and real reachable frames of iwp24."""
+        explorer = TestExplorerLevelEquivalence()._pair("iwp24")[0]
+        graph = explorer.graph
+        frames, frontier, seen = [], [graph.root], {graph.root}
+        while frontier and len(frames) < 400:
+            node = frontier.pop(0)
+            for _index, _inputs, frame, child in graph.live_successors(node):
+                frames.append(frame)
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+        monitors = [PropertyMonitor(d) for d in _assertions("iwp24")]
+        return monitors, frames
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        monitor_index=st.integers(min_value=0),
+        prefix=st.lists(st.integers(min_value=0), max_size=12),
+        frame_index=st.integers(min_value=0),
+        noise=st.integers(min_value=0, max_value=7),
+        drop_zeros=st.booleans(),
+    )
+    def test_frames_agreeing_on_signals_step_identically(
+        self, monitor_index, prefix, frame_index, noise, drop_zeros
+    ):
+        monitors, frames = self._material()
+        monitor = monitors[monitor_index % len(monitors)]
+        state = monitor.initial()
+        for index in prefix:
+            state = monitor.step(state, frames[index % len(frames)])
+        frame = frames[frame_index % len(frames)]
+        # Same letter: signals outside the set are scrambled, and a
+        # zero-valued signal may be absent (``Sig``/``SigEq`` default 0).
+        twin = {
+            name: (value if name in monitor.signals else value + noise + 1)
+            for name, value in frame.items()
+            if not (drop_zeros and value == 0 and name in monitor.signals)
+        }
+        stepped = monitor.step(state, frame)
+        assert monitor.step(state, twin) == stepped
+        assert monitor.verdict(stepped) == monitor.verdict(
+            monitor.step(state, twin)
+        )
+
+    def test_undeclared_bool_expr_fails_loudly(self):
+        class Opaque(BoolExpr):
+            def evaluate(self, frame):
+                return bool(frame.get("hidden", 0))
+
+        with pytest.raises(SvaError, match="Opaque"):
+            Opaque().signals()
+        with pytest.raises(SvaError, match="Opaque"):
+            band(Sig("a"), Opaque()).signals()
+        directive = Directive(
+            kind="assert",
+            name="opaque",
+            prop=PImpl(Sig("first"), PSeq(SBool(Opaque()))),
+        )
+        with pytest.raises(SvaError, match="Opaque"):
+            PropertyMonitor(directive)

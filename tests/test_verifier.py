@@ -1,5 +1,7 @@
 """Tests for the explicit-state explorer and the engine model."""
 
+import math
+
 import pytest
 
 from repro.litmus import compile_test, get_test
@@ -280,6 +282,20 @@ class TestEngineModel:
 
     def test_proof_hours_monotone(self):
         assert proof_hours(500) < proof_hours(1000) < proof_hours(2000)
+
+    def test_huge_cover_walk_saturates(self):
+        """Regression: a cover walk past ``math.exp``'s range (fuzz test
+        fz4-00009) used to raise ``OverflowError``; it now prices at the
+        phase allotment and is inconclusive."""
+        result = self._exhausted(10**6, 50)
+        model = EngineModel(FULL_PROOF)
+        assert model.cover_hours(result) == FULL_PROOF.cover_hours
+        assert model.cover_conclusive(result) is False
+        assert model.judge_property(result, "p").status == BOUNDED
+
+    def test_saturation_leaves_priceable_walks_bit_identical(self):
+        assert modeled_hours(404) == math.exp((404 - 550.0) / 48.7)
+        assert proof_hours(2000) == math.exp((2000 + 909.11) / 995.48)
 
     def test_transitions_within_inverts_proof_hours(self):
         for hours in (1.0, 7.0, 9.5):

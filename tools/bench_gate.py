@@ -2,7 +2,8 @@
 """CI benchmark-regression gate.
 
 Runs a pinned, fast benchmark subset — cold reachability-graph builds,
-random-schedule simulation, and difftest oracle throughput — and writes
+proof walks over prebuilt graphs, random-schedule simulation, and
+difftest oracle throughput — and writes
 the measurements to a JSON trajectory point (``BENCH_ci.json``).  With
 ``--baseline``/``--check`` it compares against the committed baseline
 (``benchmarks/baselines/ci_baseline.json``) and exits non-zero when any
@@ -36,6 +37,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 from typing import Callable, Dict, Optional
 
 sys.path.insert(
@@ -50,6 +52,9 @@ DEFAULT_REPEATS = 3
 #: (hundreds of milliseconds each) that timer noise is negligible.
 REACHGRAPH_TESTS = ("mp", "sb", "iwp24", "iriw", "n4", "amd3")
 REACHGRAPH_VARIANTS = ("fixed", "buggy")
+#: Proof walks dominate a cold suite run; these three carry the
+#: suite's largest walks (amd3 alone is ~118 assertions).
+PROOF_WALK_TESTS = ("amd3", "iriw", "co-iriw")
 SIMULATION_TESTS = ("mp", "iwp24")
 SIMULATION_SCHEDULES = 600
 #: The memoized kernel path replays schedules orders of magnitude
@@ -77,6 +82,18 @@ def _calibration_workload() -> int:
     return total
 
 
+def _expand_all(graph) -> None:
+    """Simulate every reachable node of ``graph``."""
+    frontier = [graph.root]
+    seen = {graph.root}
+    while frontier:
+        node = frontier.pop()
+        for _i, _inputs, _frame, child in graph.live_successors(node):
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+
+
 def _bench_reachgraph() -> None:
     """Cold full ReachGraph builds on the array backend."""
     from repro import get_test
@@ -93,14 +110,44 @@ def _bench_reachgraph() -> None:
             graph = ReachGraph(
                 MultiVScale(compiled, variant), AssumptionChecker(assumptions)
             )
-            frontier = [graph.root]
-            seen = {graph.root}
-            while frontier:
-                node = frontier.pop()
-                for _i, _inputs, _frame, child in graph.live_successors(node):
-                    if child not in seen:
-                        seen.add(child)
-                        frontier.append(child)
+            _expand_all(graph)
+
+
+@lru_cache(maxsize=None)
+def _proof_walk_material():
+    """Per test: a fully built reach graph (so the timed walks never
+    simulate) and the compiled monitors of every assertion."""
+    from repro import RTLCheck, get_test
+    from repro.sva import AssumptionChecker, PropertyMonitor
+    from repro.verifier.reach import ReachGraph
+    from repro.vscale.soc import MultiVScale
+
+    material = []
+    for name in PROOF_WALK_TESTS:
+        generated = RTLCheck().generate(get_test(name))
+        graph = ReachGraph(
+            MultiVScale(generated.compiled, "fixed"),
+            AssumptionChecker(generated.assumptions),
+        )
+        _expand_all(graph)
+        monitors = [PropertyMonitor(d) for d in generated.assertions]
+        material.append((graph, monitors))
+    return material
+
+
+def _bench_proof_walk() -> None:
+    """``GraphExplorer.check_property`` over every assertion of the
+    pinned tests on fixed memory, as one test run's proof phase does it
+    (a fresh explorer per test, so letters are computed inside the
+    measurement); graph build and monitor compilation are not timed."""
+    from repro.verifier.config import EXPLORER_BUDGET
+    from repro.verifier.reach import GraphExplorer
+
+    for graph, monitors in _proof_walk_material():
+        explorer = GraphExplorer(graph.design, graph.assumptions, graph=graph)
+        explorer.set_alphabet(frozenset().union(*(m.signals for m in monitors)))
+        for monitor in monitors:
+            explorer.check_property(monitor, EXPLORER_BUDGET)
 
 
 def _bench_simulation() -> None:
@@ -144,14 +191,7 @@ def _bench_kernel_reachgraph() -> None:
                 MultiVScale(compiled, variant, state_backend="kernel"),
                 AssumptionChecker(assumptions),
             )
-            frontier = [graph.root]
-            seen = {graph.root}
-            while frontier:
-                node = frontier.pop()
-                for _i, _inputs, _frame, child in graph.live_successors(node):
-                    if child not in seen:
-                        seen.add(child)
-                        frontier.append(child)
+            _expand_all(graph)
 
 
 def _bench_kernel_simulation() -> None:
@@ -233,12 +273,19 @@ def _bench_coverage() -> None:
 
 METRICS: Dict[str, Callable[[], None]] = {
     "reachgraph_build": _bench_reachgraph,
+    "proof_walk": _bench_proof_walk,
     "simulation": _bench_simulation,
     "kernel_reachgraph": _bench_kernel_reachgraph,
     "kernel_simulation": _bench_kernel_simulation,
     "difftest": _bench_difftest,
     "polycheck": _bench_polycheck,
     "coverage_overhead": _bench_coverage,
+}
+
+
+#: Untimed per-metric set-up, run before the warm-up call.
+SETUP: Dict[str, Callable[[], object]] = {
+    "proof_walk": _proof_walk_material,
 }
 
 
@@ -259,6 +306,8 @@ def run_gate(repeats: int, inject_slowdown: Optional[str] = None) -> Dict:
     calibration = _best_of(_calibration_workload, repeats)
     metrics = {}
     for name, fn in METRICS.items():
+        if name in SETUP:
+            SETUP[name]()
         warm_seconds = _best_of(fn, 1)  # one warm-up: imports, caches
         extra = 0.6 * warm_seconds if name == inject_slowdown else 0.0
         seconds = _best_of(fn, repeats, extra=extra)
