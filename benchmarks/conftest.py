@@ -4,11 +4,17 @@
 Table-1 engine configurations exactly once per session; the per-figure
 benchmarks aggregate it into the paper's tables and figures.  Rendered
 tables are written under ``benchmarks/results/``.
+
+The repository root goes on ``sys.path`` so benchmarks can time the
+reference oracles in ``tests/reference/`` against the product paths.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro import CONFIGS, RTLCheck, paper_suite
 

@@ -1,6 +1,7 @@
 """Benchmark: shared reachability-graph cache vs per-property exploration.
 
-The per-property explorer re-simulates the assumption-constrained
+The per-property explorer (the reference oracle in
+``tests/reference/explorer.py``) re-simulates the assumption-constrained
 design for every generated assertion; the cached-graph explorer
 simulates each design state once per (test, memory variant) and checks
 every property as a product walk over the memoized transitions.  This
@@ -11,20 +12,24 @@ bar is a >= 3x wall-time improvement.
 
 import time
 
+import pytest
 from conftest import save_table
 
-from repro import RTLCheck, paper_suite
+from repro import RTLCheck
+from tests.reference.explorer import Explorer
 
 SPEEDUP_FLOOR = 3.0
 
 
 def test_reachgraph_suite_speedup(suite, results_dir):
     start = time.perf_counter()
-    seed_results = RTLCheck(use_reach_graph=False).verify_suite(suite)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.core.rtlcheck.GraphExplorer", Explorer)
+        seed_results = RTLCheck().verify_suite(suite)
     seed_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    graph_results = RTLCheck(use_reach_graph=True).verify_suite(suite)
+    graph_results = RTLCheck().verify_suite(suite)
     graph_seconds = time.perf_counter() - start
 
     speedup = seed_seconds / graph_seconds

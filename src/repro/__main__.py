@@ -116,22 +116,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="verifier engine configuration (default: Full_Proof)",
     )
     parser.add_argument(
-        "--explorer",
-        choices=["graph", "per-property"],
-        default="graph",
-        help="explorer backend: shared reachability graph (default) or "
-        "the per-property re-exploring explorer",
-    )
-    parser.add_argument(
-        "--state-backend",
-        choices=["array", "kernel", "dict"],
-        default="array",
-        help="design snapshot representation: interned flat slot "
-        "vectors with batched expansion (default), compiled per-design "
-        "step kernels over the same vectors ('kernel'), or the "
-        "original nested-tuple snapshots (the equivalence reference)",
-    )
-    parser.add_argument(
         "--report",
         metavar="FILE",
         help="write a schema-versioned JSON run report to FILE",
@@ -337,14 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="coverage database to merge the campaign into (default: "
         "<cache root>/coverage/coverage.json when caching is on)",
     )
-    fuzz.add_argument(
-        "--state-backend",
-        choices=["array", "kernel", "dict"],
-        default="array",
-        help="design snapshot representation the RTL-touching oracles "
-        "use (backends are verdict-equivalent; reports are "
-        "byte-identical across them)",
-    )
     _add_cache_flags(fuzz)
 
     cache = sub.add_parser(
@@ -490,12 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="verifier engine configuration (default: Full_Proof)",
         )
         sub_parser.add_argument(
-            "--explorer",
-            choices=["graph", "per-property"],
-            default="graph",
-            help="explorer backend (default: graph)",
-        )
-        sub_parser.add_argument(
             "--observe",
             action="store_true",
             help="run the job with observability recording, matching a "
@@ -528,13 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         "key)",
     )
     for sub_parser in (submit_suite, submit_verify, submit_fuzz):
-        sub_parser.add_argument(
-            "--state-backend",
-            choices=["array", "kernel", "dict"],
-            default="array",
-            help="design snapshot representation (verdict-equivalent; "
-            "part of the job key)",
-        )
         sub_parser.add_argument(
             "--host", default="127.0.0.1", help="job server address"
         )
@@ -692,11 +655,9 @@ def cmd_verify(args) -> int:
     cache = _cache_from_args(args)
     rtlcheck = RTLCheck(
         config=CONFIGS[args.config],
-        use_reach_graph=(args.explorer == "graph"),
         observe=_wants_observability(args),
         coverage=_wants_coverage(args),
         cache=cache,
-        state_backend=args.state_backend,
     )
     result = rtlcheck.verify_test(
         get_test(args.test),
@@ -739,11 +700,9 @@ def cmd_suite(args) -> int:
     cache = _cache_from_args(args)
     rtlcheck = RTLCheck(
         config=CONFIGS[args.config],
-        use_reach_graph=(args.explorer == "graph"),
         observe=_wants_observability(args),
         coverage=_wants_coverage(args),
         cache=cache,
-        state_backend=args.state_backend,
     )
     tests = paper_suite()
     if args.only:
@@ -820,7 +779,6 @@ def cmd_fuzz(args) -> int:
         coverage=coverage,
         guided=args.guided,
         coverage_db=args.coverage_db,
-        state_backend=args.state_backend,
     )
     total = config.budget
     done = [0]
@@ -1090,7 +1048,6 @@ def cmd_submit(args) -> int:
                 "oracles": list(args.oracles),
                 "memory_variant": args.memory,
                 "long_programs": args.long_programs,
-                "state_backend": args.state_backend,
                 "jobs": args.jobs,
             },
         }
@@ -1098,8 +1055,6 @@ def cmd_submit(args) -> int:
         params = {
             "memory_variant": args.memory,
             "config": args.config,
-            "explorer": args.explorer,
-            "state_backend": args.state_backend,
             "observe": args.observe,
         }
         if args.job_kind == "verify":

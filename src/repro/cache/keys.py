@@ -49,7 +49,7 @@ from typing import Iterable, Optional, Tuple
 #: Bump to orphan every existing cache entry (a format change, a
 #: serialization fix, ...).  Entries with a different format are
 #: treated as misses and rewritten, never reinterpreted.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Top-level modules / subpackages of ``repro`` whose source feeds the
 #: verification toolchain fingerprint.  ``__main__`` (CLI plumbing) and
@@ -171,19 +171,10 @@ def verdict_key(
     design_factory,
     node_mapping_factory,
     program_mapping_factory,
-    use_reach_graph: bool,
     skip_cover_shortcut: bool,
-    state_backend: str = "array",
 ) -> str:
     """Key of one :class:`TestVerification` — the full input closure of
-    :meth:`RTLCheck.verify_test`.
-
-    ``state_backend`` is keyed even though the backends produce
-    identical verdicts by contract: their obs counters differ
-    (``state.*`` exists only on the vector backends, ``kernel.*`` only
-    under ``kernel``), and an entry must replay exactly what its
-    backend would compute.
-    """
+    :meth:`RTLCheck.verify_test`."""
     return digest_payload(
         {
             "tier": "verdict",
@@ -196,9 +187,7 @@ def verdict_key(
             "design_factory": qualname(design_factory),
             "node_mapping": qualname(node_mapping_factory),
             "program_mapping": qualname(program_mapping_factory),
-            "use_reach_graph": bool(use_reach_graph),
             "skip_cover_shortcut": bool(skip_cover_shortcut),
-            "state_backend": state_backend,
         }
     )
 
@@ -209,16 +198,13 @@ def reach_key(
     memory_variant: str,
     design_factory,
     program_mapping_factory,
-    state_backend: str = "array",
 ) -> str:
     """Key of one shared :class:`~repro.verifier.reach.ReachGraph`.
 
     Deliberately independent of the µspec model and engine
     configuration: the assumption-constrained design transition relation
     is the same for every axiom set and Table-1 row, so one graph serves
-    them all.  ``state_backend`` *is* keyed: a pickled graph's node
-    snapshots are interned ids on one backend and nested tuples on the
-    other — never interchangeable."""
+    them all."""
     return digest_payload(
         {
             "tier": "reach",
@@ -228,7 +214,6 @@ def reach_key(
             "memory_variant": memory_variant,
             "design_factory": qualname(design_factory),
             "program_mapping": qualname(program_mapping_factory),
-            "state_backend": state_backend,
         }
     )
 

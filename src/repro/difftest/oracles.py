@@ -235,7 +235,6 @@ def rtl_verdicts(
     test: LitmusTest,
     memory_variant: str = "fixed",
     max_states: int = DEFAULT_MAX_STATES,
-    state_backend: str = "array",
 ) -> ArchEnumeration:
     """Exhaustive (budgeted) architectural enumeration of the design."""
     check_wellformed(test)
@@ -243,9 +242,7 @@ def rtl_verdicts(
     def body():
         from repro.vscale.soc import MultiVScale
 
-        design = MultiVScale(
-            compile_test(test), memory_variant, state_backend=state_backend
-        )
+        design = MultiVScale(compile_test(test), memory_variant)
         return enumerate_design_outcomes(design, max_states=max_states)
 
     return _guard(test, "rtl", body)
@@ -258,7 +255,6 @@ def trace_verdicts(
     seed: int = 0,
     max_states: int = DEFAULT_MAX_STATES,
     grant_sink: Optional[Dict[str, int]] = None,
-    state_backend: str = "array",
 ) -> Tuple[List[TraceCheck], int, int]:
     """Sample ``samples`` RTL executions and polycheck each under SC.
 
@@ -281,7 +277,6 @@ def trace_verdicts(
             samples=samples,
             seed=seed,
             collect_grants=grant_sink is not None,
-            state_backend=state_backend,
         )
         if grant_sink is not None and harvest.grant_ngrams:
             for ngram, hits in harvest.grant_ngrams.items():
@@ -309,11 +304,9 @@ def verifier_verdicts(
     test: LitmusTest,
     memory_variant: str = "fixed",
     rtlcheck=None,
-    state_backend: str = "array",
 ):
     """Run the full RTLCheck flow; returns its
-    :class:`~repro.core.results.TestVerification`.  ``state_backend``
-    applies only when no pre-built ``rtlcheck`` is handed in."""
+    :class:`~repro.core.results.TestVerification`."""
     check_wellformed(test)
 
     def body():
@@ -321,7 +314,7 @@ def verifier_verdicts(
         if checker is None:
             from repro.core.rtlcheck import RTLCheck
 
-            checker = RTLCheck(state_backend=state_backend)
+            checker = RTLCheck()
         return checker.verify_test(test, memory_variant)
 
     return _guard(test, "verifier", body)
@@ -336,7 +329,6 @@ def evaluate_oracles(
     cache=None,
     trace_samples: int = DEFAULT_TRACE_SAMPLES,
     trace_seed: int = 0,
-    state_backend: str = "array",
 ) -> TestVerdicts:
     """Run the selected oracle layers on ``test``.
 
@@ -451,10 +443,7 @@ def evaluate_oracles(
                                 recorder.count("arch.budget_trips", 1)
                 if enum is None:
                     enum = rtl_verdicts(
-                        test,
-                        memory_variant,
-                        max_states=max_states,
-                        state_backend=state_backend,
+                        test, memory_variant, max_states=max_states
                     )
                     if key is not None:
                         cache.store_oracle(
@@ -490,11 +479,8 @@ def evaluate_oracles(
                         cache=cache,
                         observe=recorder.enabled,
                         coverage=coverage is not None,
-                        state_backend=state_backend,
                     )
-                result = verifier_verdicts(
-                    test, memory_variant, checker, state_backend=state_backend
-                )
+                result = verifier_verdicts(test, memory_variant, checker)
                 if result.obs and (recorder.enabled or coverage is not None):
                     recorder.merge_state(result.obs)
                 verdicts.verifier_bug_found = result.bug_found
@@ -541,7 +527,6 @@ def evaluate_oracles(
                         seed=trace_seed,
                         max_states=max_states,
                         grant_sink=grant_sink,
-                        state_backend=state_backend,
                     )
                     if key is not None:
                         entry = {

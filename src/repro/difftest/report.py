@@ -71,9 +71,10 @@ def fuzz_report(result) -> Dict[str, Any]:
         "counters": dict(result.counters),
         "wall_seconds": result.wall_seconds,
         # Additive (validators tolerate extra keys): the design state
-        # backend the campaign ran on, cache statistics, and
+        # representation (a constant now that slot vectors are the only
+        # one, kept so report bytes stay stable), cache statistics, and
         # checkpoint-resume bookkeeping for cached campaigns.
-        "state_backend": config.state_backend,
+        "state_backend": "array",
         "cache": dict(result.cache_stats),
         "resumed": result.resumed,
         **_coverage_section(result),

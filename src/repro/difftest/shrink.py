@@ -37,16 +37,13 @@ def discrepancy_predicate(
     rtlcheck=None,
     trace_samples: Optional[int] = None,
     trace_seed: int = 0,
-    state_backend: str = "array",
 ) -> Predicate:
     """Build the "does this oracle pair still disagree?" test for one
     discrepancy kind.  Candidates that any involved oracle rejects with
     :class:`ReproError` are treated as non-reproducing (``False``).
 
     ``trace_samples``/``trace_seed`` parameterize the trace-oracle
-    kinds so the shrinker replays exactly the campaign's sampling;
-    ``state_backend`` keeps the replays on the campaign's design
-    backend (verdict-equivalent, so minimizations are too).
+    kinds so the shrinker replays exactly the campaign's sampling.
     """
     from repro.difftest.oracles import (
         DEFAULT_TRACE_SAMPLES,
@@ -71,27 +68,15 @@ def discrepancy_predicate(
 
     def rtl_vs_model(test: LitmusTest) -> bool:
         op_set, _ok, _tso = operational_verdicts(test)
-        rtl = rtl_verdicts(
-            test,
-            memory_variant,
-            max_states=max_states,
-            state_backend=state_backend,
-        )
+        rtl = rtl_verdicts(test, memory_variant, max_states=max_states)
         return rtl.complete and rtl.outcomes != op_set
 
     def verifier_vs_rtl(test: LitmusTest) -> bool:
         op_set, _ok, _tso = operational_verdicts(test)
-        rtl = rtl_verdicts(
-            test,
-            memory_variant,
-            max_states=max_states,
-            state_backend=state_backend,
-        )
+        rtl = rtl_verdicts(test, memory_variant, max_states=max_states)
         if not rtl.complete or rtl.outcomes != op_set:
             return False
-        result = verifier_verdicts(
-            test, memory_variant, rtlcheck, state_backend=state_backend
-        )
+        result = verifier_verdicts(test, memory_variant, rtlcheck)
         return bool(result.bug_found)
 
     def trace_vs_sc(test: LitmusTest) -> bool:
@@ -101,7 +86,6 @@ def discrepancy_predicate(
             samples=trace_samples,
             seed=trace_seed,
             max_states=max_states,
-            state_backend=state_backend,
         )
         return any(not c.conformant for c in checks)
 
@@ -113,7 +97,6 @@ def discrepancy_predicate(
             samples=trace_samples,
             seed=trace_seed,
             max_states=max_states,
-            state_backend=state_backend,
         )
         return any(c.conformant != (c.outcome in op_set) for c in checks)
 

@@ -160,25 +160,11 @@ class CoverageMap:
 def state_signature(design, snap) -> str:
     """A run-stable signature for one design snapshot.
 
-    On the vector backends (array and kernel share one flat-slot
-    representation) the snapshot is an interner id; the signature
-    digests the packed flat slot vector, so equal physical states hash
-    equal across runs — and across those two backends — regardless of
-    interning order.  On the dict backend (or any non-packable vector)
-    the signature digests the snapshot's ``repr`` — still
-    deterministic, but a different key space, so campaigns should not
-    mix it with the vector backends.
+    The snapshot is an interner id; the signature digests the packed
+    flat slot vector behind it, so equal physical states hash equal
+    across runs regardless of interning order.
     """
-    data = None
-    if getattr(design, "state_backend", "dict") in ("array", "kernel"):
-        vector = design.state_vector(snap)
-        if vector is not None:
-            try:
-                data = array("q", vector).tobytes()
-            except (OverflowError, TypeError):
-                data = None
-    if data is None:
-        data = repr(snap).encode()
+    data = array("q", design.state_vector(snap)).tobytes()
     return blake2b(data, digest_size=8).hexdigest()
 
 

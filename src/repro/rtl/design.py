@@ -11,32 +11,18 @@ Each cycle has two phases, the standard simulator discipline:
 2. :meth:`Design.tick` — commit the next-state values computed during
    ``eval_comb`` (the rising clock edge).
 
-Designs also expose :meth:`Design.snapshot` / :meth:`Design.restore`,
-returning hashable states; the property verifier uses these for
-explicit-state exploration with deduplication.
+Design state is a flat slot vector (``docs/performance.md``).  A
+design declares a static :class:`SlotLayout` once; :meth:`Design.snapshot`
+writes every slot into a reused buffer and hash-conses the resulting
+tuple through a :class:`StateInterner`, so a snapshot is a dense
+integer id and :meth:`Design.restore` a bulk slot copy.  The property
+verifier uses these ids for explicit-state exploration with
+deduplication.
 
-Three state backends implement that protocol (``docs/performance.md``):
-
-* ``dict`` — the original nested-tuple snapshots, built by each
-  subclass's :meth:`Design.snapshot_state` / :meth:`Design.restore_state`
-  (or a direct ``snapshot``/``restore`` override).
-* ``array`` — a flat slot vector.  The design declares a static
-  :class:`SlotLayout` once; ``snapshot()`` writes every slot into a
-  reused buffer and hash-conses the resulting tuple through a
-  :class:`StateInterner`, so a snapshot is just a dense integer id and
-  ``restore()`` a bulk slot copy.  Enabled via
-  :meth:`Design.enable_array_state` on designs that provide a layout.
-* ``kernel`` — the array representation plus a compiled per-design
-  step function (:mod:`repro.rtl.kernel`) that maps slot vector to
-  successor slot vector without touching the design object at all.
-  Enabled via :meth:`Design.enable_kernel_state` on designs that
-  implement :meth:`Design.build_step_kernel`; falls back to the array
-  backend otherwise.  Bit-identical to the interpreter by contract.
-
-On top of either backend, :meth:`Design.step_batch` expands *all* free
-input choices of one state in a single call; designs whose settled
-frame does not depend on a free input (Multi-V-scale's arbiter grant)
-override it to share one combinational evaluation across every choice.
+:meth:`Design.step_batch` expands *all* free input choices of one state
+in a single call; designs whose settled frame does not depend on a free
+input (Multi-V-scale's arbiter grant) override it to share one
+combinational evaluation across every choice.
 
 Free inputs (for Multi-V-scale: the arbiter's grant select, paper §5.2)
 are declared via :meth:`Design.free_inputs`; a formal verifier explores
@@ -46,7 +32,6 @@ every combination, a simulator picks one per cycle.
 from __future__ import annotations
 
 import itertools
-import time
 from array import array
 from typing import (
     Callable,
@@ -62,9 +47,6 @@ from typing import (
 
 from repro import obs
 from repro.errors import ReproError, RtlError
-
-#: Backends whose snapshots are interned flat slot vectors.
-VECTOR_BACKENDS = ("array", "kernel")
 
 #: A settled cycle's signal values.
 Frame = Dict[str, int]
@@ -198,22 +180,15 @@ def _keep_all(frame: Frame, repeats: int) -> bool:
 
 
 class Design:
-    """Base class for simulatable designs. Subclasses implement the
-    two-phase protocol plus snapshot/restore (directly, or via the
-    ``snapshot_state``/``restore_state`` + slot-layout backends)."""
+    """Base class for simulatable designs.  Subclasses implement the
+    two-phase protocol plus the slot protocol (:meth:`slot_layout`,
+    :meth:`write_slots`, :meth:`read_slots`) and call
+    :meth:`init_slot_state` once the design is built."""
 
-    #: Active snapshot representation: ``"dict"`` (nested tuples),
-    #: ``"array"`` (interned flat vectors), or ``"kernel"`` (interned
-    #: flat vectors stepped by compiled code — see module docstring).
-    state_backend = "dict"
-    #: Slots moved through the flat buffer (vector backends only).
+    #: Slots moved through the flat buffer by snapshots and restores.
     slots_copied = 0
     #: ``step_batch`` calls that shared one settled evaluation.
     batch_expansions = 0
-    #: Calls that went through the compiled kernel (kernel backend).
-    kernel_batched_steps = 0
-    #: Wall seconds spent compiling the step kernel.
-    kernel_compile_seconds = 0.0
 
     def reset(self) -> None:
         raise NotImplementedError
@@ -229,35 +204,9 @@ class Design:
 
     # -- state protocol ------------------------------------------------
 
-    def snapshot(self) -> Hashable:
-        if self.state_backend in VECTOR_BACKENDS:
-            buf = self._slot_buf
-            self.write_slots(buf)
-            self.slots_copied += len(buf)
-            return self._interner.intern(tuple(buf))
-        return self.snapshot_state()
-
-    def restore(self, state: Hashable) -> None:
-        if self.state_backend in VECTOR_BACKENDS:
-            vec = self._interner.state(state)
-            self.read_slots(vec)
-            self.slots_copied += len(vec)
-        else:
-            self.restore_state(state)
-
-    def snapshot_state(self) -> Hashable:
-        """Dict-backend snapshot (nested hashable tuples)."""
+    def slot_layout(self) -> SlotLayout:
+        """The design's flat-state declaration."""
         raise NotImplementedError
-
-    def restore_state(self, state: Hashable) -> None:
-        raise NotImplementedError
-
-    # -- array backend (opt-in per design) -----------------------------
-
-    def slot_layout(self) -> Optional[SlotLayout]:
-        """The design's flat-state declaration, or ``None`` when the
-        design only supports the dict backend."""
-        return None
 
     def write_slots(self, buf: List[int]) -> None:
         """Serialize the current state into ``buf`` (length
@@ -268,105 +217,37 @@ class Design:
         """Deserialize ``vec`` into the design's state."""
         raise NotImplementedError
 
-    def enable_array_state(self) -> bool:
-        """Switch to interned flat-vector snapshots; returns False (and
-        stays on the dict backend) when the design declares no slot
-        layout.  Snapshots taken under one backend are meaningless to
-        the other, so switch only between explorations."""
+    def init_slot_state(self) -> None:
+        """Bind the slot layout and start a fresh interner; snapshots
+        taken before the call are meaningless after it."""
         layout = self.slot_layout()
-        if layout is None:
-            return False
         self._slot_layout = layout
         self._interner = StateInterner()
         self._slot_buf = [0] * layout.size
         self.slots_copied = 0
         self.batch_expansions = 0
-        self.state_backend = "array"
-        return True
 
-    def disable_array_state(self) -> None:
-        """Fall back to the dict backend (``snapshot_state`` et al.)."""
-        self.state_backend = "dict"
+    def snapshot(self) -> Hashable:
+        buf = self._slot_buf
+        self.write_slots(buf)
+        self.slots_copied += len(buf)
+        return self._interner.intern(tuple(buf))
 
-    # -- kernel backend (opt-in per design, see repro.rtl.kernel) ------
-
-    def build_step_kernel(self):
-        """Compile and return this design's
-        :class:`~repro.rtl.kernel.StepKernel`, or ``None`` when the
-        design has no compiled step path.  Called with the slot layout
-        already bound (array backend enabled)."""
-        return None
-
-    def enable_kernel_state(self) -> bool:
-        """Switch to the compiled-kernel backend; returns False when
-        the design supports no kernel.  On False the design is left on
-        the best backend it does support (array when it declares a slot
-        layout, dict otherwise) — requesting ``kernel`` never loses the
-        vector representation that is already available."""
-        if not self.enable_array_state():
-            return False
-        start = time.perf_counter()
-        kernel = self.build_step_kernel()
-        if kernel is None:
-            return False
-        self.kernel_compile_seconds = time.perf_counter() - start
-        self.kernel_batched_steps = 0
-        self._kernel = kernel
-        self.state_backend = "kernel"
-        return True
-
-    @property
-    def step_kernel(self):
-        """The design's compiled kernel, recompiled on demand after
-        unpickling (compiled closures never serialize — see
-        :meth:`__getstate__`)."""
-        kernel = self.__dict__.get("_kernel")
-        if kernel is None and self.state_backend == "kernel":
-            start = time.perf_counter()
-            kernel = self.build_step_kernel()
-            self.kernel_compile_seconds += time.perf_counter() - start
-            self._kernel = kernel
-        return kernel
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_kernel", None)
-        state.pop("_checked_steps", None)
-        return state
+    def restore(self, state: Hashable) -> None:
+        vec = self._interner.state(state)
+        self.read_slots(vec)
+        self.slots_copied += len(vec)
 
     @property
     def states_interned(self) -> int:
-        """Distinct states the interner holds (0 on the dict backend)."""
-        if self.state_backend not in VECTOR_BACKENDS:
-            return 0
+        """Distinct states the interner holds."""
         return len(self._interner)
 
-    def state_vector(self, state: Hashable) -> Optional[Tuple[int, ...]]:
-        """The flat slot vector behind a vector-backend snapshot id, or
-        ``None`` on the dict backend (where snapshots carry their own
-        structure).  Coverage signatures digest this vector so state
-        identity is stable across runs and interning orders."""
-        if self.state_backend in VECTOR_BACKENDS:
-            return self._interner.state(state)
-        return None
-
-    def intern_vector(self, vec: Sequence[int]) -> Optional[int]:
-        """Intern a raw slot vector (vector backends), or ``None`` on
-        the dict backend.  Lets kernel consumers turn stepped vectors
-        back into snapshot ids without a restore."""
-        if self.state_backend in VECTOR_BACKENDS:
-            return self._interner.intern(tuple(vec))
-        return None
-
-    def state_drained(self, state: Hashable) -> bool:
-        """Whether ``state`` is quiescent, without the caller paying a
-        restore on the kernel backend (the compiled predicate reads the
-        slot vector directly).  The interpreter backends restore and
-        ask the design, bit-for-bit the code path they always ran."""
-        if self.state_backend == "kernel":
-            return self.step_kernel.drained(self._interner.state(state))
-        self.restore(state)
-        return self.drained()
+    def state_vector(self, state: Hashable) -> Tuple[int, ...]:
+        """The flat slot vector behind a snapshot id.  Coverage
+        signatures digest this vector so state identity is stable
+        across runs and interning orders."""
+        return self._interner.state(state)
 
     def drained(self) -> bool:
         """Whether the architectural state can no longer change (the
@@ -385,9 +266,8 @@ class Design:
 
         Returns a list parallel to ``input_space``: ``None`` where
         ``frame_hook`` pruned the choice, else ``(frame, successor)``.
-        The generic implementation replays the classic per-input
-        restore/eval/tick loop exactly (same operation order, same
-        hook-observable effects); designs whose settled frame is
+        The generic implementation runs the per-input
+        restore/eval/tick loop; designs whose settled frame is
         independent of a free input override this to evaluate once and
         fan the cheap part — successor state construction — out over
         the choices.
@@ -403,15 +283,6 @@ class Design:
             results.append((frame, self.snapshot()))
         return results
 
-    def checked_step_kernel(self, checker):
-        """A fused ``(vec, checker, first, repeats) -> (frame, buf)``
-        step function with ``checker``'s assumption predicates compiled
-        into the kernel's combinational locals, or ``None`` when the
-        design has no compiled path for this checker (kernel-capable
-        subclasses override; ``None`` always falls back to the
-        interpreted :meth:`step_batch_checked`)."""
-        return None
-
     def step_batch_checked(
         self,
         state: Hashable,
@@ -423,9 +294,7 @@ class Design:
         stamp ``first`` into the frame, then let ``checker`` (an
         :class:`~repro.sva.monitor.AssumptionChecker`) accept or prune
         the settled frame.  Counter effects (``antecedent_firings``,
-        ``pruned_frames``) stay in per-input logical units on every
-        backend; kernel-backed designs override this with a fused
-        compiled check that never materializes pruned frames."""
+        ``pruned_frames``) stay in per-input logical units."""
 
         def hook(frame: Frame, repeats: int) -> bool:
             frame["first"] = first
@@ -440,9 +309,7 @@ class Design:
     ) -> List[List[Hashable]]:
         """Frame-free expansion of a whole frontier: for each state, the
         successor snapshots of every input choice (no pruning hook, no
-        frames).  The generic implementation loops :meth:`step_batch`;
-        kernel-backed designs override it to step the entire frontier
-        as one slot matrix when numpy is available."""
+        frames)."""
         results: List[List[Hashable]] = []
         for state in states:
             edges = self.step_batch(state, input_space, _keep_all)

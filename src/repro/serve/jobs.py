@@ -44,9 +44,7 @@ from repro.errors import ReproError
 #: discoverable there).
 from repro.obs.report import SCHEMA_VERSION, SERVE_EVENT_KIND, SERVE_JOB_KIND
 
-_STATE_BACKENDS = ("array", "kernel", "dict")
 _MEMORY_VARIANTS = ("fixed", "buggy")
-_EXPLORERS = ("graph", "per-property")
 
 #: Upper bound on a submitted fuzz budget — a server guard, not a
 #: campaign limit (the CLI has no such cap).
@@ -127,17 +125,6 @@ def _suite_params(params: Dict[str, Any]) -> Dict[str, Any]:
         config in CONFIGS,
         f"config must be one of {sorted(CONFIGS)}, got {config!r}",
     )
-    explorer = _pop_field(params, "explorer", "graph")
-    _require(
-        explorer in _EXPLORERS,
-        f"explorer must be one of {list(_EXPLORERS)}, got {explorer!r}",
-    )
-    state_backend = _pop_field(params, "state_backend", "array")
-    _require(
-        state_backend in _STATE_BACKENDS,
-        f"state_backend must be one of {list(_STATE_BACKENDS)}, "
-        f"got {state_backend!r}",
-    )
     observe = _pop_field(params, "observe", False)
     _require(isinstance(observe, bool), "'observe' must be a boolean")
     _require(not params, f"unknown suite job params: {sorted(params)}")
@@ -145,8 +132,6 @@ def _suite_params(params: Dict[str, Any]) -> Dict[str, Any]:
         "tests": list(tests),
         "memory_variant": memory_variant,
         "config": config,
-        "explorer": explorer,
-        "state_backend": state_backend,
         "observe": observe,
     }
 
@@ -186,12 +171,6 @@ def _fuzz_params(params: Dict[str, Any]) -> Dict[str, Any]:
         isinstance(trace_samples, int) and trace_samples >= 1,
         "'trace_samples' must be an integer >= 1",
     )
-    state_backend = _pop_field(params, "state_backend", "array")
-    _require(
-        state_backend in _STATE_BACKENDS,
-        f"state_backend must be one of {list(_STATE_BACKENDS)}, "
-        f"got {state_backend!r}",
-    )
     jobs = _pop_field(params, "jobs", 1)
     _require(
         isinstance(jobs, int) and 1 <= jobs <= MAX_JOB_WORKERS,
@@ -205,7 +184,6 @@ def _fuzz_params(params: Dict[str, Any]) -> Dict[str, Any]:
         "memory_variant": memory_variant,
         "long_programs": long_programs,
         "trace_samples": trace_samples,
-        "state_backend": state_backend,
         "jobs": jobs,
     }
 
@@ -217,10 +195,8 @@ def rtlcheck_for(params: Dict[str, Any], cache=None):
 
     return RTLCheck(
         config=CONFIGS[params["config"]],
-        use_reach_graph=(params["explorer"] == "graph"),
         observe=params["observe"],
         cache=cache,
-        state_backend=params["state_backend"],
     )
 
 

@@ -125,10 +125,7 @@ def _enumerate(design, max_states: int) -> ArchEnumeration:
         # No assumptions, no monitors: the walk needs only successor
         # snapshots, so the whole frontier expands through the
         # frame-free batch (one shared evaluation per state on batching
-        # designs, one slot-matrix step per layer on the kernel
-        # backend).  ``state_drained`` asks the compiled quiescence
-        # predicate where one exists; the restore is paid only for the
-        # drained states whose architectural results are harvested.
+        # designs).
         for successors in design.successor_batch(frontier, input_space):
             for child in successors:
                 transitions += 1
@@ -138,9 +135,9 @@ def _enumerate(design, max_states: int) -> ArchEnumeration:
                     complete = False
                     break
                 seen.add(child)
-                if design.state_drained(child):
+                design.restore(child)
+                if design.drained():
                     drained_states += 1
-                    design.restore(child)
                     outcomes.add(_harvest(design))
                 else:
                     next_frontier.append(child)

@@ -1,12 +1,11 @@
-"""Shared reachability-graph cache for the property verifier.
+"""The property verifier: a shared reachability graph and its walks.
 
-:class:`repro.verifier.explorer.Explorer` re-simulates the design for
-every property it checks, even though the assumption-constrained RTL
-transition relation is identical across all properties of one
-(test, memory variant) pair — only the monitor component of the product
-differs.  :class:`ReachGraph` explores the design side **once**,
-memoizing each state's per-input ``(frame, successor)`` transitions
-into an explicit graph, and :class:`GraphExplorer` then verifies every
+The assumption-constrained RTL transition relation is identical across
+all properties of one (test, memory variant) pair — only the monitor
+component of the product differs.  :class:`ReachGraph` explores the
+design side **once**, memoizing each state's per-input
+``(frame, successor)`` transitions into an explicit graph, and
+:class:`GraphExplorer` then verifies every
 :class:`~repro.sva.monitor.PropertyMonitor` as a product walk over the
 cached edges — no ``restore`` / ``eval_comb`` / ``tick`` calls after a
 node's first expansion, and ``cover_assumptions`` is a free read of the
@@ -15,16 +14,17 @@ same graph once it has been built.
 Equivalence guarantee
 ---------------------
 
-``GraphExplorer`` reproduces :class:`Explorer` *bit for bit*: the same
-verdicts, ``depth_completed`` bounds, ``states_explored``,
-``transitions``, per-layer work profiles, fired assumptions, and
-counterexample traces.  This matters because the engine model
-(:mod:`repro.verifier.engines`) consumes ``transitions`` and
-``layer_transitions`` to model JasperGold hours, so the cached path
+``GraphExplorer`` reproduces a walk that re-simulates the design for
+every property *bit for bit*: the same verdicts, ``depth_completed``
+bounds, ``states_explored``, ``transitions``, per-layer work profiles,
+fired assumptions, and counterexample traces.  This matters because the
+engine model (:mod:`repro.verifier.engines`) consumes ``transitions``
+and ``layer_transitions`` to model JasperGold hours, so the cached path
 replays the walk's would-be transition counts — including the pruned
-branches the per-property explorer pays for — keeping the Figure 13/14
+branches a re-simulating walk pays for — keeping the Figure 13/14
 numbers identical.  ``tests/test_reach_equivalence.py`` cross-checks
-the two explorers over the full 56-test suite.
+against that re-simulating explorer (kept as a reference oracle in
+``tests/reference/explorer.py``) over the full 56-test suite.
 
 Three details make the replay exact:
 
@@ -34,8 +34,8 @@ Three details make the replay exact:
   root carries ``first=1``; child lookups always use ``first=0``, so a
   re-reached reset snapshot becomes a distinct ``first=0`` node.
 * Product-walk ``visited`` sets are keyed by the *snapshot* (not the
-  node id), matching the per-property explorer's deduplication; the
-  walk names snapshots by :meth:`ReachGraph.snap_id` ints.
+  node id), matching the re-simulating walk's deduplication; the walk
+  names snapshots by :meth:`ReachGraph.snap_id` ints.
 * Expansion is lazy: a node's edges are simulated on first access, so
   a budget-truncated walk expands exactly the design states it touches
   and budgets behave identically.
@@ -55,7 +55,11 @@ the explorer and are never pickled with the graph.
 The graph's cache economics are observable: ``sim_transitions`` counts
 the design evaluations actually paid (cache misses), ``cache_hits``
 counts node-successor lookups served without simulation, and both are
-flushed to :mod:`repro.obs` counters by the RTLCheck flow.
+flushed to :mod:`repro.obs` counters by the RTLCheck flow.  Every
+public walk runs inside a :mod:`repro.obs` span whose duration becomes
+the result's ``seconds`` field, and walk-level counters are flushed to
+the active recorder — a no-op unless a
+:class:`~repro.obs.TraceRecorder` is installed.
 """
 
 from __future__ import annotations
@@ -63,15 +67,14 @@ from __future__ import annotations
 import time
 from typing import AbstractSet, Dict, Hashable, List, Optional, Tuple
 
+from repro import obs
 from repro.rtl.design import Design, Frame
 from repro.sva.monitor import AssumptionChecker, PropertyMonitor
 from repro.verifier.explorer import (
     BOUNDED,
     Budget,
     ExplorationResult,
-    Explorer,
     FAILED,
-    InstrumentedExplorer,
     PROVEN,
     REACHABLE,
     UNKNOWN,
@@ -180,14 +183,12 @@ class ReachGraph:
         start = time.perf_counter()
         snapshot, first = self._keys[node]
 
-        # ``sim_transitions`` stays in logical per-input units on every
-        # backend (the engine model prices walks in transitions, and
-        # serialized verdicts must not depend on the state backend);
-        # the *physical* evaluations saved by batching are visible via
-        # the design's ``batch_expansions``/``slots_copied`` counters.
+        # ``sim_transitions`` stays in logical per-input units (the
+        # engine model prices walks in transitions); the *physical*
+        # evaluations saved by batching are visible via the design's
+        # ``batch_expansions``/``slots_copied`` counters.
         # ``step_batch_checked`` stamps ``first`` into kept frames and
-        # applies the assumption pruning — on the kernel backend as a
-        # fused compiled check, elsewhere via ``frame_ok_repeated``.
+        # applies the assumption pruning.
         steps = self.design.step_batch_checked(
             snapshot, self.input_space, self.assumptions, first
         )
@@ -212,18 +213,31 @@ class ReachGraph:
         return edges
 
 
-class GraphExplorer(InstrumentedExplorer):
-    """Drop-in replacement for :class:`Explorer` backed by a shared
+def rebuild_trace(
+    parents: Dict, state: Tuple
+) -> List[Tuple[Dict[str, int], Frame]]:
+    """The ``(inputs, frame)`` path from the root to ``state``, read off
+    a walk's ``child -> (parent, inputs, frame)`` pointers."""
+    trace = []
+    cursor = state
+    while parents.get(cursor) is not None:
+        parent, inputs, frame = parents[cursor]
+        trace.append((inputs, frame))
+        cursor = parent
+    trace.reverse()
+    return trace
+
+
+class GraphExplorer:
+    """Property checks and covering-trace search as walks over a shared
     :class:`ReachGraph`.
 
-    Exposes the same ``check_property`` / ``cover_assumptions`` API and
-    produces identical :class:`ExplorationResult` values; the design is
-    simulated only on graph cache misses — which is why walked
-    transitions are *not* reported as simulated frames here (the graph
-    reports its own ``sim_transitions``).
+    The design is simulated only on graph cache misses — which is why
+    walked transitions are *not* reported as simulated frames here (the
+    graph reports its own ``sim_transitions``).  A warm-loaded ``graph``
+    carries its own design and assumption checker, which the explorer
+    then uses in place of the arguments.
     """
-
-    _simulates_frames = False
 
     def __init__(
         self,
@@ -232,9 +246,39 @@ class GraphExplorer(InstrumentedExplorer):
         graph: Optional[ReachGraph] = None,
     ):
         self.graph = graph if graph is not None else ReachGraph(design, assumptions)
+        self.design = self.graph.design
         self.assumptions = self.graph.assumptions
         self.input_space = self.graph.input_space
         self.set_alphabet(())
+
+    def check_property(
+        self, monitor: PropertyMonitor, budget: Budget
+    ) -> ExplorationResult:
+        """Verify one assertion against all assumption-satisfying traces."""
+        with obs.span("property", property=monitor.directive.name) as walk:
+            result = self._check_property(monitor, budget)
+        result.seconds = walk.seconds
+        self._flush_walk_counters(result, kind="property")
+        return result
+
+    def cover_assumptions(self, budget: Budget) -> ExplorationResult:
+        """Covering-trace search (paper §4.1): explore all assumption-
+        satisfying traces, recording which assumptions' antecedents fire
+        with their consequents enforceable.  If exploration exhausts and
+        an assumption never fired, that assumption is *unreachable*."""
+        with obs.span("cover") as walk:
+            result = self._cover_assumptions(budget)
+        result.seconds = walk.seconds
+        self._flush_walk_counters(result, kind="cover")
+        return result
+
+    def _flush_walk_counters(self, result: ExplorationResult, kind: str) -> None:
+        recorder = obs.get_recorder()
+        if not recorder.enabled:
+            return
+        recorder.count(f"explorer.{kind}_walks", 1)
+        recorder.count("explorer.transitions", result.transitions)
+        recorder.count("explorer.states_explored", result.states_explored)
 
     def set_alphabet(self, signals: AbstractSet[str]) -> None:
         """Project edge frames onto ``signals`` to form letters.  Set it
@@ -305,7 +349,7 @@ class GraphExplorer(InstrumentedExplorer):
             layer_start = result.transitions
             for node, node_key in frontier:
                 # Fast path: iterate only the live edges; the input index
-                # recovers the per-property explorer's transition count,
+                # recovers the re-simulating walk's transition count,
                 # which includes the pruned edges in between.
                 base = result.transitions
                 live = graph.live_successors(node)
@@ -328,7 +372,7 @@ class GraphExplorer(InstrumentedExplorer):
                         hits += 1
                     state, verdict = step
                     if verdict is False:
-                        trace = Explorer._rebuild_trace(parents, node_key)
+                        trace = rebuild_trace(parents, node_key)
                         trace.append((dict(inputs), frame))
                         result.verdict = FAILED
                         result.transitions = base + index + 1
@@ -372,7 +416,7 @@ class GraphExplorer(InstrumentedExplorer):
     # ------------------------------------------------------------------
 
     def _cover_assumptions(self, budget: Budget) -> ExplorationResult:
-        """Covering-trace search (paper §4.1) as a read of the graph."""
+        """The covering walk as a read of the graph."""
         graph = self.graph
         root_key = graph.snap(graph.root)
         visited = {root_key}

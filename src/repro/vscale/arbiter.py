@@ -10,8 +10,6 @@ is completing its data phase (Figures 6, 11).
 
 from __future__ import annotations
 
-from typing import Hashable
-
 
 class Arbiter:
     """Registered grant: the select input names next cycle's owner."""
@@ -31,13 +29,7 @@ class Arbiter:
         self.prev_core = self.cur_core
         self.cur_core = select % self.num_cores
 
-    def snapshot(self) -> Hashable:
-        return (self.cur_core, self.prev_core)
-
-    def restore(self, state: Hashable) -> None:
-        self.cur_core, self.prev_core = state
-
-    # -- flat slot protocol (array state backend) ----------------------
+    # -- flat slot protocol --------------------------------------------
 
     #: ``cur_core`` (slot 0 — the only state a grant choice touches,
     #: which is what makes batched expansion a one-slot patch) and

@@ -24,13 +24,30 @@ read it.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RtlError
 from repro.vscale.params import DMEM_LOAD, DMEM_STORE
 
 #: An in-flight transaction: (core, kind, word address).
 Transaction = Tuple[int, int, int]
+
+
+def write_word_slots(
+    buf: List[int], base: int, array: Dict[int, int], words: Sequence[int]
+) -> None:
+    """Write ``array``'s declared ``words`` into ``buf[base:]``, one slot
+    each.  A word outside the declared set raises: the flat state layout
+    is static, so every store target must be declared."""
+    if len(array) != len(words):
+        extras = sorted(set(array) - set(words))
+        raise RtlError(
+            "memory grew words outside the declared data set "
+            f"{extras}; the flat state layout is static, so every "
+            "store target must appear in the initial data memory"
+        )
+    for index, word in enumerate(words):
+        buf[base + index] = array[word]
 
 
 class MemoryBase:
@@ -44,7 +61,7 @@ class MemoryBase:
         self.initial = dict(initial or {})
         #: The declared word addresses, in slot order.  Litmus-compiled
         #: programs only ever store to declared words, so the flat
-        #: backend can lay the array out statically.
+        #: state layout can hold the array statically.
         self.slot_words: Tuple[int, ...] = tuple(sorted(self.initial))
         self.reset()
 
@@ -68,16 +85,7 @@ class MemoryBase:
         ``store_data`` is the data presented by a pending store's WB."""
         raise NotImplementedError
 
-    def snapshot(self) -> Hashable:
-        raise NotImplementedError
-
-    def restore(self, state: Hashable) -> None:
-        raise NotImplementedError
-
-    def _array_snapshot(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self.array.items()))
-
-    # -- flat slot protocol (array state backend) ----------------------
+    # -- flat slot protocol --------------------------------------------
 
     #: Pending-transaction encoding: (valid, core, kind, word address).
     PENDING_SLOTS = 4
@@ -98,17 +106,9 @@ class MemoryBase:
         else:
             buf[base] = 1
             buf[base + 1], buf[base + 2], buf[base + 3] = pending
-        array = self.array
-        if len(array) != len(self.slot_words):
-            extras = sorted(set(array) - set(self.slot_words))
-            raise RtlError(
-                "memory grew words outside the declared data set "
-                f"{extras}; the flat state layout is static, so every "
-                "store target must appear in the initial data memory"
-            )
-        off = base + self.PENDING_SLOTS
-        for index, word in enumerate(self.slot_words):
-            buf[off + index] = array[word]
+        write_word_slots(
+            buf, base + self.PENDING_SLOTS, self.array, self.slot_words
+        )
 
     def _read_base_slots(self, vec, base: int) -> None:
         if vec[base]:
@@ -156,13 +156,6 @@ class BuggyMemory(MemoryBase):
             self.wdata = store_data
         self.pending = new_txn
 
-    def snapshot(self) -> Hashable:
-        return (self._array_snapshot(), self.pending, self.wvalid, self.waddr, self.wdata)
-
-    def restore(self, state: Hashable) -> None:
-        array, self.pending, self.wvalid, self.waddr, self.wdata = state
-        self.array = dict(array)
-
     def slot_count(self) -> int:
         return super().slot_count() + 3
 
@@ -193,13 +186,6 @@ class FixedMemory(MemoryBase):
         if self.pending is not None and self.pending[1] == DMEM_STORE:
             self.array[self.pending[2]] = store_data
         self.pending = new_txn
-
-    def snapshot(self) -> Hashable:
-        return (self._array_snapshot(), self.pending)
-
-    def restore(self, state: Hashable) -> None:
-        array, self.pending = state
-        self.array = dict(array)
 
     def write_slots(self, buf: List[int], base: int) -> None:
         self._write_base_slots(buf, base)

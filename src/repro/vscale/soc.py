@@ -9,7 +9,7 @@ for this input" (§5.2).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import RtlError
 from repro.isa import encode
@@ -27,21 +27,9 @@ class MultiVScale(Design):
     ``memory_variant`` selects ``"buggy"`` (the shipped V-scale memory
     with the store-dropping bug of §7.1) or ``"fixed"`` (the paper's
     corrected memory).
-
-    ``state_backend`` selects the snapshot representation: ``"array"``
-    (the default — interned flat slot vectors with the batched
-    expansion kernel, see ``docs/performance.md``), ``"kernel"`` (the
-    array representation stepped by a compiled per-design function,
-    :mod:`repro.vscale.kernel`), or ``"dict"`` (the original
-    nested-tuple snapshots, kept for equivalence cross-checking).
     """
 
-    def __init__(
-        self,
-        compiled: CompiledTest,
-        memory_variant: str = "fixed",
-        state_backend: str = "array",
-    ):
+    def __init__(self, compiled: CompiledTest, memory_variant: str = "fixed"):
         if compiled.num_cores != NUM_CORES:
             raise RtlError(f"expected {NUM_CORES}-core compile, got {compiled.num_cores}")
         self.compiled = compiled
@@ -64,12 +52,7 @@ class MultiVScale(Design):
         self.data_words = sorted(compiled.initial_data_memory)
         self._pending_tick = None
         self.reset()
-        if state_backend == "array":
-            self.enable_array_state()
-        elif state_backend == "kernel":
-            self.enable_kernel_state()
-        elif state_backend != "dict":
-            raise RtlError(f"unknown state backend {state_backend!r}")
+        self.init_slot_state()
 
     # ------------------------------------------------------------------
 
@@ -164,29 +147,10 @@ class MultiVScale(Design):
             core.tick(views[core_id], stall_dx[core_id], load_data)
 
     # ------------------------------------------------------------------
-    # State protocol: dict backend (nested tuples) ...
+    # State protocol: the flat slot layout
     # ------------------------------------------------------------------
 
-    def snapshot_state(self) -> Hashable:
-        return (
-            tuple(core.snapshot() for core in self.cores),
-            self.arbiter.snapshot(),
-            self.memory.snapshot(),
-        )
-
-    def restore_state(self, state: Hashable) -> None:
-        core_states, arb_state, mem_state = state
-        for core, core_state in zip(self.cores, core_states):
-            core.restore(core_state)
-        self.arbiter.restore(arb_state)
-        self.memory.restore(mem_state)
-        self._pending_tick = None
-
-    # ------------------------------------------------------------------
-    # ... and the flat slot layout (array backend)
-    # ------------------------------------------------------------------
-
-    def slot_layout(self) -> Optional[SlotLayout]:
+    def slot_layout(self) -> SlotLayout:
         layout = SlotLayout()
         self._core_bases = [
             layout.block(f"core[{core.core_id}]", core.SLOT_COUNT)
@@ -218,27 +182,6 @@ class MultiVScale(Design):
         the whole input space, and each choice's successor differs from
         its neighbours in exactly one slot (``arbiter.cur_core``).
         """
-        backend = self.state_backend
-        if backend == "kernel":
-            n = len(input_space)
-            interner = self._interner
-            kern = self.__dict__.get("_kernel") or self.step_kernel
-            frame, buf = kern.step(interner.state(state), frame_hook, n)
-            self.batch_expansions += 1
-            self.kernel_batched_steps += 1
-            if buf is None:
-                return [None] * n
-            self.slots_copied += len(buf)
-            cur_slot = self._arb_base
-            intern = interner.intern
-            edges = []
-            append = edges.append
-            for select in self._select_values(input_space):
-                buf[cur_slot] = select
-                append((frame, intern(tuple(buf))))
-            return edges
-        if backend != "array":
-            return super().step_batch(state, input_space, frame_hook)
         n = len(input_space)
         self.restore(state)
         frame = self.eval_comb(input_space[0])
@@ -257,96 +200,6 @@ class MultiVScale(Design):
             buf[cur_slot] = inputs.get("arb_select", 0) % num_cores
             edges.append((frame, interner.intern(tuple(buf))))
         return edges
-
-    def _select_values(self, input_space):
-        """``arb_select % num_cores`` per input choice, memoized on the
-        caller's (stable) input-space object — the only slot that
-        varies across a batch's successors."""
-        cached = self.__dict__.get("_selects_cache")
-        if cached is not None and cached[0] is input_space:
-            return cached[1]
-        num_cores = self.arbiter.num_cores
-        selects = tuple(
-            inputs.get("arb_select", 0) % num_cores for inputs in input_space
-        )
-        self._selects_cache = (input_space, selects)
-        return selects
-
-    def checked_step_kernel(self, checker):
-        """The fused compiled step for ``checker`` (see
-        :func:`repro.vscale.kernel.build_checked_step`), memoized per
-        checker instance; ``None`` off the kernel backend or when the
-        checker falls outside the compilable fragment."""
-        if self.state_backend != "kernel":
-            return None
-        cache = self.__dict__.setdefault("_checked_steps", {})
-        key = id(checker)
-        if key not in cache:
-            from repro.vscale.kernel import build_checked_step
-
-            cache[key] = build_checked_step(self, checker)
-        return cache[key]
-
-    def step_batch_checked(self, state, input_space, checker, first):
-        """Kernel-backend fast path: one fused comb-settle + compiled
-        assumption check + tick, then the per-choice arbiter-grant
-        patch; counter effects are identical to the hook path."""
-        fused = self.checked_step_kernel(checker)
-        if fused is None:
-            return super().step_batch_checked(state, input_space, checker, first)
-        n = len(input_space)
-        interner = self._interner
-        frame, buf = fused(interner.state(state), checker, first, n)
-        self.batch_expansions += 1
-        self.kernel_batched_steps += 1
-        if frame is None:
-            return [None] * n
-        self.slots_copied += len(buf)
-        cur_slot = self._arb_base
-        intern = interner.intern
-        edges = []
-        append = edges.append
-        for select in self._select_values(input_space):
-            buf[cur_slot] = select
-            append((frame, intern(tuple(buf))))
-        return edges
-
-    def successor_batch(self, states, input_space):
-        """Frame-free frontier expansion; on the kernel backend with
-        numpy available, the whole frontier steps as one
-        ``(n_states, n_slots)`` slot matrix and only the per-choice
-        arbiter-grant slot is patched per successor."""
-        kern = (
-            self.__dict__.get("_kernel") or self.step_kernel
-            if self.state_backend == "kernel"
-            else None
-        )
-        if kern is None or not kern.matrix_ready(len(states)):
-            return super().successor_batch(states, input_space)
-        np = kern.np
-        interner = self._interner
-        mat = np.array(
-            [interner.state(s) for s in states], dtype=np.int64
-        )
-        out = kern.step_matrix(mat)
-        self.kernel_batched_steps += 1
-        self.batch_expansions += len(states)
-        self.slots_copied += int(out.size)
-        cur_slot = self._arb_base
-        selects = self._select_values(input_space)
-        results = []
-        for row in out.tolist():
-            successors = []
-            for select in selects:
-                row[cur_slot] = select
-                successors.append(interner.intern(tuple(row)))
-            results.append(successors)
-        return results
-
-    def build_step_kernel(self):
-        from repro.vscale.kernel import build_multi_vscale_kernel
-
-        return build_multi_vscale_kernel(self)
 
     # ------------------------------------------------------------------
 

@@ -9,8 +9,8 @@ for the per-execution consistency checker.  Per test the cost is
 ``O(k · cycles)`` regardless of program length, which is what makes
 long-program fuzzing feasible.
 
-Sampling reuses the PR-5 array state backend: schedules progress in a
-*wavefront*, grouped by interned design state, so each distinct state
+Sampling reuses the interned slot-vector states: schedules progress in
+a *wavefront*, grouped by interned design state, so each distinct state
 pays one ``step_batch`` (one restore + eval + tick) per cycle no matter
 how many schedules currently occupy it — early on, all ``k`` schedules
 share the reset state and the whole wavefront advances for the price of
@@ -67,21 +67,17 @@ def harvest_traces(
     seed: int = 0,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     collect_grants: bool = False,
-    state_backend: str = "array",
 ) -> Harvest:
     """Sample ``samples`` randomized executions of ``test`` on the RTL.
 
     ``collect_grants=True`` additionally records each schedule's grant
     sequence and folds them into coverage n-grams
     (``Harvest.grant_ngrams``); the grants drawn are identical either
-    way, so collection cannot perturb the sampled outcomes.
-
-    ``state_backend`` selects the design's state representation; the
-    rng draw sequence is per-schedule and grouping-independent, so the
-    harvest stays deterministic in ``(test, seed, samples)`` on every
-    backend."""
+    way, so collection cannot perturb the sampled outcomes.  The rng
+    draw sequence is per-schedule and grouping-independent, so the
+    harvest is deterministic in ``(test, seed, samples)``."""
     compiled = compile_test(test)
-    design = MultiVScale(compiled, memory_variant, state_backend=state_backend)
+    design = MultiVScale(compiled, memory_variant)
     design.reset()
     input_space = design.input_space()
     start = design.snapshot()
@@ -100,10 +96,8 @@ def harvest_traces(
 
     def is_drained(state: Hashable) -> bool:
         if state not in drained_memo:
-            # ``state_drained`` reads the compiled quiescence predicate
-            # on the kernel backend (no restore); interpreter backends
-            # restore and ask the design, exactly as before.
-            drained_memo[state] = design.state_drained(state)
+            design.restore(state)
+            drained_memo[state] = design.drained()
         return drained_memo[state]
 
     cycles = 0

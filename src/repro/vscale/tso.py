@@ -34,14 +34,15 @@ forwarded from the store buffer).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RtlError
 from repro.isa import Fence, Halt, Lw, Sw, encode
 from repro.litmus.test import CompiledTest
-from repro.rtl.design import Design, Frame, FreeInput
+from repro.rtl.design import Design, Frame, FreeInput, SlotLayout
 from repro.vscale.arbiter import Arbiter
 from repro.vscale.core import VScaleCore
+from repro.vscale.memory import write_word_slots
 from repro.vscale.params import DMEM_LOAD, DMEM_NONE, DMEM_STORE, NUM_CORES
 
 #: Store-buffer capacity per core.
@@ -86,6 +87,7 @@ class MultiVScaleTSO(Design):
         self.arbiter = Arbiter(NUM_CORES)
         self.data_words = sorted(compiled.initial_data_memory)
         self.reset()
+        self.init_slot_state()
 
     # ------------------------------------------------------------------
 
@@ -250,24 +252,87 @@ class MultiVScaleTSO(Design):
             core.tick(view, stall_dx[core_id], core_load)
 
     # ------------------------------------------------------------------
+    # State protocol: the flat slot layout
+    # ------------------------------------------------------------------
 
-    def snapshot(self) -> Hashable:
-        return (
-            tuple(core.snapshot() for core in self.cores),
-            self.arbiter.snapshot(),
-            tuple(sorted(self.array.items())),
-            tuple(tuple(buf) for buf in self.buffers),
-            self.pending,
-        )
+    #: Slots per store-buffer entry: (word address, data, absolute pc).
+    ENTRY_SLOTS = 3
+    #: Pending-transaction encoding: (kind, core, addr, data, pc) with
+    #: kind 0 = none, 1 = a load's data phase, 2 = a drain commit.
+    PENDING_SLOTS = 5
 
-    def restore(self, state: Hashable) -> None:
-        core_states, arb_state, array, buffers, pending = state
-        for core, core_state in zip(self.cores, core_states):
-            core.restore(core_state)
-        self.arbiter.restore(arb_state)
-        self.array = dict(array)
-        self.buffers = [list(buf) for buf in buffers]
-        self.pending = pending
+    def slot_layout(self) -> SlotLayout:
+        layout = SlotLayout()
+        self._core_bases = [
+            layout.block(f"core[{core.core_id}]", core.SLOT_COUNT)
+            for core in self.cores
+        ]
+        self._arb_base = layout.block("arbiter", self.arbiter.SLOT_COUNT)
+        self._mem_base = layout.block("memory", len(self.data_words))
+        # Per core: the entry count, then the entries oldest first with
+        # unused entries zeroed (so equal buffers give equal vectors).
+        self._buffer_bases = [
+            layout.block(
+                f"store_buffer[{core_id}]",
+                1 + STORE_BUFFER_CAPACITY * self.ENTRY_SLOTS,
+            )
+            for core_id in range(NUM_CORES)
+        ]
+        self._pending_base = layout.block("pending", self.PENDING_SLOTS)
+        return layout
+
+    def write_slots(self, buf: List[int]) -> None:
+        for core, base in zip(self.cores, self._core_bases):
+            core.write_slots(buf, base)
+        self.arbiter.write_slots(buf, self._arb_base)
+        write_word_slots(buf, self._mem_base, self.array, self.data_words)
+        width = STORE_BUFFER_CAPACITY * self.ENTRY_SLOTS
+        for core_id, base in enumerate(self._buffer_bases):
+            buffer = self.buffers[core_id]
+            if len(buffer) > STORE_BUFFER_CAPACITY:
+                raise RtlError(
+                    f"core {core_id}: store buffer holds {len(buffer)} "
+                    f"entries, above its capacity of {STORE_BUFFER_CAPACITY}"
+                )
+            buf[base] = len(buffer)
+            entries = [slot for entry in buffer for slot in entry]
+            entries.extend([0] * (width - len(entries)))
+            buf[base + 1:base + 1 + width] = entries
+        base = self._pending_base
+        pending = self.pending
+        if pending is None:
+            buf[base:base + 5] = (0, 0, 0, 0, 0)
+        elif pending[0] == "L":
+            _kind, owner, word = pending
+            buf[base:base + 5] = (1, owner, word, 0, 0)
+        else:
+            _kind, owner, addr, data, pc = pending
+            buf[base:base + 5] = (2, owner, addr, data, pc)
+
+    def read_slots(self, vec) -> None:
+        for core, base in zip(self.cores, self._core_bases):
+            core.read_slots(vec, base)
+        self.arbiter.read_slots(vec, self._arb_base)
+        base = self._mem_base
+        self.array = {
+            word: vec[base + index] for index, word in enumerate(self.data_words)
+        }
+        step = self.ENTRY_SLOTS
+        self.buffers = [
+            [
+                tuple(vec[base + 1 + i * step:base + 1 + (i + 1) * step])
+                for i in range(vec[base])
+            ]
+            for base in self._buffer_bases
+        ]
+        base = self._pending_base
+        kind = vec[base]
+        if kind == 0:
+            self.pending = None
+        elif kind == 1:
+            self.pending = ("L", vec[base + 1], vec[base + 2])
+        else:
+            self.pending = ("D",) + tuple(vec[base + 1:base + 5])
         self._tick_plan = None
 
     # ------------------------------------------------------------------

@@ -143,13 +143,31 @@ class TestMergeAlgebra:
 
 
 class TestSignatures:
-    def test_repr_fallback_is_stable_and_discriminating(self):
-        class Dummy:
-            state_backend = "dict"
+    def test_every_design_signs_its_slot_vector(self):
+        """SC and TSO designs alike: a signature is the digest of the
+        packed slot vector — one key space, independent of interning
+        order (the second design interns a different state first)."""
+        from array import array
+        from hashlib import blake2b
 
-        design = Dummy()
-        assert state_signature(design, (1, 2)) == state_signature(design, (1, 2))
-        assert state_signature(design, (1, 2)) != state_signature(design, (2, 1))
+        from repro.litmus import compile_test
+        from repro.vscale.soc import MultiVScale
+        from repro.vscale.tso import MultiVScaleTSO
+
+        compiled = compile_test(get_test("sb"))
+        for make in (MultiVScale, MultiVScaleTSO):
+            first, second = make(compiled), make(compiled)
+            second.eval_comb({"arb_select": 1})
+            second.tick()
+            stepped = second.snapshot()
+            second.reset()
+            root = first.snapshot()
+            assert root != second.snapshot()  # different interning orders
+            vector = array("q", first.state_vector(root)).tobytes()
+            expected = blake2b(vector, digest_size=8).hexdigest()
+            assert state_signature(first, root) == expected
+            assert state_signature(second, second.snapshot()) == expected
+            assert state_signature(second, stepped) != expected
 
     def test_array_backend_signature_matches_across_designs(self):
         # Equal physical states hash equal regardless of interning

@@ -3,7 +3,8 @@ per-property explorer.
 
 The engine model derives modeled JasperGold hours from the explorer's
 transition counts, so :class:`repro.verifier.reach.GraphExplorer` must
-reproduce :class:`repro.verifier.explorer.Explorer` exactly — verdicts,
+reproduce the reference :class:`tests.reference.explorer.Explorer`
+exactly — verdicts,
 bounds, ``states_explored``, per-layer work profiles, fired
 assumptions, counterexample traces, and the resulting modeled hours —
 or the Figure 13/14 numbers would drift.  These tests prove agreement
@@ -21,8 +22,9 @@ from repro import CONFIGS, RTLCheck, get_test, paper_suite
 from repro.errors import SvaError
 from repro.sva import Directive, PImpl, PropertyMonitor, PSeq, SBool, Sig
 from repro.sva.ast import BoolExpr, band
-from repro.verifier import Budget, Explorer, GraphExplorer
+from repro.verifier import Budget, GraphExplorer
 from repro.verifier.config import EXPLORER_BUDGET
+from tests.reference.explorer import Explorer
 
 TRUNCATED_BUDGETS = pytest.mark.parametrize(
     "budget",
@@ -76,34 +78,34 @@ def _assert_verifications_equal(graph, seed, name):
 
 
 class TestFullSuiteEquivalence:
-    def test_fixed_design_full_suite(self):
+    def test_fixed_design_full_suite(self, per_property_explorer):
         """Old and new explorers agree on verdicts, bounds, fired
         assumptions, and modeled hours for all 56 tests."""
-        graph_rc = RTLCheck(use_reach_graph=True)
-        seed_rc = RTLCheck(use_reach_graph=False)
+        rc = RTLCheck()
         for test in paper_suite():
-            graph = graph_rc.verify_test(test)
-            seed = seed_rc.verify_test(test)
+            graph = rc.verify_test(test)
+            with per_property_explorer():
+                seed = rc.verify_test(test)
             _assert_verifications_equal(graph, seed, test.name)
 
-    def test_hybrid_config_sample(self):
+    def test_hybrid_config_sample(self, per_property_explorer):
         """The Hybrid engine configuration consumes the same ground
         truth, so a sample of tests must agree there too."""
-        graph_rc = RTLCheck(config=CONFIGS["Hybrid"], use_reach_graph=True)
-        seed_rc = RTLCheck(config=CONFIGS["Hybrid"], use_reach_graph=False)
+        rc = RTLCheck(config=CONFIGS["Hybrid"])
         for name in ["mp", "iwp24", "iriw", "rfi000"]:
-            graph = graph_rc.verify_test(get_test(name))
-            seed = seed_rc.verify_test(get_test(name))
+            graph = rc.verify_test(get_test(name))
+            with per_property_explorer():
+                seed = rc.verify_test(get_test(name))
             _assert_verifications_equal(graph, seed, name)
 
-    def test_buggy_design_counterexamples(self):
+    def test_buggy_design_counterexamples(self, per_property_explorer):
         """Counterexample traces (inputs and frames) replay identically
         through both explorers on the buggy memory."""
-        graph_rc = RTLCheck(use_reach_graph=True)
-        seed_rc = RTLCheck(use_reach_graph=False)
+        rc = RTLCheck()
         for name in ["mp", "sb", "ssl"]:
-            graph = graph_rc.verify_test(get_test(name), memory_variant="buggy")
-            seed = seed_rc.verify_test(get_test(name), memory_variant="buggy")
+            graph = rc.verify_test(get_test(name), memory_variant="buggy")
+            with per_property_explorer():
+                seed = rc.verify_test(get_test(name), memory_variant="buggy")
             _assert_verifications_equal(graph, seed, name)
 
 

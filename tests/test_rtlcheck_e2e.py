@@ -167,8 +167,11 @@ class TestSuiteSlice:
         assert 0 < result.graph_build_seconds < result.wall_seconds
         assert all(p.check_seconds >= 0 for p in result.properties)
 
-    def test_per_property_explorer_leaves_graph_counters_zero(self):
-        result = RTLCheck(use_reach_graph=False).verify_test(get_test("mp"))
+    def test_per_property_explorer_leaves_graph_counters_zero(
+        self, per_property_explorer
+    ):
+        with per_property_explorer():
+            result = RTLCheck().verify_test(get_test("mp"))
         assert result.graph_states == 0
         assert result.graph_transitions == 0
         assert result.graph_build_seconds == 0.0

@@ -35,6 +35,7 @@ from repro.serve import (
     validate_spec,
 )
 from repro.serve import pool as serve_pool
+from repro.serve.jobs import JobStore
 
 SUITE_TESTS = ["mp", "sb"]
 SUITE_SPEC = {"kind": "suite", "params": {"tests": SUITE_TESTS}}
@@ -70,10 +71,8 @@ def cli_suite_report(cache_dir, test_names=SUITE_TESTS, observe=False):
     models a local run that passed ``--report``)."""
     rtlcheck = RTLCheck(
         config=CONFIGS["Full_Proof"],
-        use_reach_graph=True,
         observe=observe,
         cache=VerificationCache(str(cache_dir)),
-        state_backend="array",
     )
     results = rtlcheck.verify_suite([get_test(name) for name in test_names])
     return obs.suite_report(
@@ -93,8 +92,10 @@ class TestValidateSpec:
         assert spec["params"]["tests"] == ["mp"]
         assert spec["params"]["memory_variant"] == "fixed"
         assert spec["params"]["config"] == "Full_Proof"
-        assert spec["params"]["state_backend"] == "array"
         assert spec["params"]["observe"] is False
+        assert set(spec["params"]) == {
+            "tests", "memory_variant", "config", "observe",
+        }
 
     def test_suite_defaults_to_full_paper_suite(self):
         spec = validate_spec({"kind": "suite"})
@@ -154,11 +155,21 @@ class TestValidateSpec:
         buggy = validate_spec(
             {"kind": "suite", "params": {"tests": ["mp"], "memory_variant": "buggy"}}
         )
-        kernel = validate_spec(
-            {"kind": "suite", "params": {"tests": ["mp"], "state_backend": "kernel"}}
+        hybrid = validate_spec(
+            {"kind": "suite", "params": {"tests": ["mp"], "config": "Hybrid"}}
         )
-        keys = {job_key(base), job_key(buggy), job_key(kernel)}
+        keys = {job_key(base), job_key(buggy), job_key(hybrid)}
         assert len(keys) == 3
+
+    @pytest.mark.parametrize("field", ["explorer", "state_backend"])
+    @pytest.mark.parametrize("kind", ["suite", "fuzz"])
+    def test_removed_backend_fields_are_rejected(self, kind, field):
+        """``explorer`` and ``state_backend`` once chose between
+        equivalent implementations; with one of each left they are
+        unknown params, whatever their value."""
+        for value in ("kernel", "array", "graph"):
+            with pytest.raises(ReproError, match=f"unknown {kind} job params"):
+                validate_spec({"kind": kind, "params": {field: value}})
 
 
 class TestEvents:
@@ -444,6 +455,24 @@ def test_killed_server_resumes_pending_jobs_byte_identically(tmp_path):
         )
         # ...and the journal entry is consumed: nothing left pending.
         assert second.server.store.pending() == []
+
+
+def test_pending_entry_with_removed_fields_is_dropped(tmp_path):
+    """A journal entry written with the removed ``explorer`` /
+    ``state_backend`` fields no longer validates: start-up drops it
+    instead of wedging, and the server still serves."""
+    cache_dir = str(tmp_path / "cache")
+    store = JobStore(cache_dir)
+    stale = {
+        "kind": "suite",
+        "params": {"tests": ["mp"], "explorer": "graph", "state_backend": "kernel"},
+    }
+    store.add_pending("0" * 64, stale)
+    with ThreadedServer(cache_dir=cache_dir, jobs=1) as ts:
+        client = ServeClient("127.0.0.1", ts.port, timeout=300)
+        assert client.stats()["counters"]["resumed_jobs"] == 0
+        assert ts.server.store.pending() == []
+        assert client.healthz()["status"] == "ok"
 
 
 # ---------------------------------------------------------------------------

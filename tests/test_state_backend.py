@@ -1,17 +1,19 @@
-"""Dict vs. array state-backend equivalence.
+"""Slot-vector states vs. the nested-tuple reference.
 
-The array backend (flat interned slot vectors + batched frontier
-expansion, ``repro.rtl.design``) is a pure representation change: it
-must produce bit-identical reachability graphs, verdicts, modeled
-hours, counterexample traces, and VCD waveforms to the classic
-dict/deepcopy backend.  These tests prove that contract over the
-golden-verdict fixture tests on both memory variants, and pin the
-representation-level wins the backend exists for (hash-consing,
-compact pickles, snapshot/restore round-trips).
+Product designs snapshot to interned flat slot vectors with batched
+frontier expansion (``repro.rtl.design``).  That is a pure
+representation choice: it must produce bit-identical reachability
+graphs, verdicts, modeled hours, counterexample traces, and VCD
+waveforms to the nested-tuple snapshots kept as a reference oracle in
+``tests/reference/snapshots.py``.  These tests prove that contract over
+the golden-verdict fixture tests on both memory variants and over
+Multi-V-scale-TSO with both drain orders, and pin the
+representation-level wins (hash-consing, compact pickles,
+snapshot/restore round-trips, injective encodings).
 
-Normalization: wall-clock fields (``*seconds``) and the array-only
-``state.*`` observability counters are stripped before comparison —
-they are the *only* permitted divergence between backends.
+Normalization: wall-clock fields (``*seconds``) and the ``state.*``
+observability counters are stripped before comparison — they are the
+*only* permitted divergence between the two representations.
 
 Set ``RTLCHECK_STATE_BACKEND_FULL=1`` to sweep the full 56-test suite
 on both memory variants (minutes); the default subset keeps CI fast.
@@ -35,19 +37,32 @@ from repro.sva import AssumptionChecker
 from repro.verifier.outcomes import enumerate_design_outcomes
 from repro.verifier.reach import ReachGraph
 from repro.vscale.soc import MultiVScale
+from repro.vscale.tso import STORE_BUFFER_CAPACITY, MultiVScaleTSO
+from tests.reference.snapshots import (
+    DictMultiVScale,
+    DictMultiVScaleTSO,
+    dict_multi_vscale_factory,
+    dict_multi_vscale_tso_factory,
+)
 
 #: Representative subset: message-passing and store-buffering (the
 #: canonical forbidden/permitted pair), a load-buffer shape, a 4-core
 #: write-atomicity test, and an n-test with fences.
 SUBSET = ["mp", "sb", "lb", "iwp24", "n4"]
 VARIANTS = ["fixed", "buggy"]
+#: Multi-V-scale-TSO: store buffering (the relaxation), message
+#: passing, 4-core write atomicity, a heavy AMD test, and a fenced
+#: n-test.
+TSO_SUBSET = ["sb", "mp", "iwp24", "amd3", "n7"]
+#: RTLCheck's TSO memory variants: "fixed" drains FIFO, "buggy" LIFO.
+DRAINS = {"fixed": "fifo", "buggy": "lifo"}
 
 FULL_SWEEP = os.environ.get("RTLCHECK_STATE_BACKEND_FULL") == "1"
 SWEEP = [t.name for t in paper_suite()] if FULL_SWEEP else SUBSET
 
 
 def _scrub(obj):
-    """Drop wall-clock fields and array-only counters, recursively."""
+    """Drop wall-clock fields and the slot-vector counters, recursively."""
     if isinstance(obj, dict):
         return {
             key: _scrub(value)
@@ -64,10 +79,26 @@ def _canonical(verification) -> str:
     return json.dumps(_scrub(verification.to_dict()), sort_keys=True)
 
 
-def _build_full_graph(name, variant, backend):
-    """Fully expand a ReachGraph under ``backend``; return (graph, design)."""
+def _sc_design(name, variant, reference=False):
+    cls = DictMultiVScale if reference else MultiVScale
+    return cls(compile_test(get_test(name)), variant)
+
+
+def _tso_design(name, variant, reference=False):
+    cls = DictMultiVScaleTSO if reference else MultiVScaleTSO
+    return cls(compile_test(get_test(name)), drain_order=DRAINS[variant])
+
+
+def _tso_rtlcheck(reference=False, **kwargs):
+    rtlcheck = RTLCheck.for_tso(**kwargs)
+    if reference:
+        rtlcheck.design_factory = dict_multi_vscale_tso_factory
+    return rtlcheck
+
+
+def _build_full_graph(design, name):
+    """Fully expand a ReachGraph over ``design``; return the graph."""
     compiled = compile_test(get_test(name))
-    design = MultiVScale(compiled, variant, state_backend=backend)
     assumptions = MultiVScaleProgramMapping(compiled).all_assumptions()
     graph = ReachGraph(design, AssumptionChecker(assumptions))
     frontier = [graph.root]
@@ -78,14 +109,14 @@ def _build_full_graph(name, variant, backend):
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)
-    return graph, design
+    return graph
 
 
 def _edge_shape(graph):
-    """Backend-independent structural view: per-node edge lists with
-    frames as plain dicts and children as node ids (snapshots are
-    interned ids on one backend and nested tuples on the other, so
-    they are deliberately not part of the shape)."""
+    """Representation-independent structural view: per-node edge lists
+    with frames as plain dicts and children as node ids (snapshots are
+    interned ids on one side and nested tuples on the other, so they
+    are deliberately not part of the shape)."""
     return [
         [
             None if edge is None else (dict(edge[0]), edge[1])
@@ -95,66 +126,97 @@ def _edge_shape(graph):
     ]
 
 
+def _cex_vcds(result):
+    """Rendered VCD of every counterexample in ``result``."""
+    return [
+        render_vcd([frame for _inputs, frame in p.ground_truth.counterexample])
+        for p in result.properties
+        if p.ground_truth.counterexample is not None
+    ]
+
+
 class TestVerdictEquivalence:
     """Full-pipeline agreement: graphs, verdicts, modeled hours."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("name", SWEEP)
     def test_serialized_verdicts_identical(self, name, variant):
-        array_rc = RTLCheck(state_backend="array", observe=True)
-        dict_rc = RTLCheck(state_backend="dict", observe=True)
-        array = array_rc.verify_test(get_test(name), memory_variant=variant)
+        product_rc = RTLCheck(observe=True)
+        dict_rc = RTLCheck(design_factory=dict_multi_vscale_factory, observe=True)
+        product = product_rc.verify_test(get_test(name), memory_variant=variant)
         seed = dict_rc.verify_test(get_test(name), memory_variant=variant)
-        assert _canonical(array) == _canonical(seed), f"{name}/{variant}"
-        assert array.modeled_hours == seed.modeled_hours
-        assert array.graph_states == seed.graph_states
-        assert array.graph_transitions == seed.graph_transitions
+        assert _canonical(product) == _canonical(seed), f"{name}/{variant}"
+        assert product.modeled_hours == seed.modeled_hours
+        assert product.graph_states == seed.graph_states
+        assert product.graph_transitions == seed.graph_transitions
 
-    def test_per_property_explorer_agrees(self):
-        """The non-graph (per-property) explorer path batches too."""
-        for name in ["mp", "sb"]:
-            array_rc = RTLCheck(state_backend="array", use_reach_graph=False)
-            dict_rc = RTLCheck(state_backend="dict", use_reach_graph=False)
-            array = array_rc.verify_test(get_test(name))
-            seed = dict_rc.verify_test(get_test(name))
-            assert _canonical(array) == _canonical(seed), name
+    def test_per_property_explorer_agrees(self, per_property_explorer):
+        """The reference per-property explorer agrees across the two
+        representations too."""
+        with per_property_explorer():
+            for name in ["mp", "sb"]:
+                product = RTLCheck().verify_test(get_test(name))
+                seed = RTLCheck(
+                    design_factory=dict_multi_vscale_factory
+                ).verify_test(get_test(name))
+                assert _canonical(product) == _canonical(seed), name
 
     def test_counterexample_vcd_identical(self):
         """Buggy-memory counterexamples render to byte-identical VCD."""
-        traces = {}
-        for backend in ("array", "dict"):
-            rc = RTLCheck(state_backend=backend)
-            result = rc.verify_test(get_test("mp"), memory_variant="buggy")
-            failed = [
-                p
-                for p in result.properties
-                if p.ground_truth.counterexample is not None
-            ]
-            assert failed, "buggy mp must produce a counterexample"
-            traces[backend] = [
-                [frame for _inputs, frame in p.ground_truth.counterexample]
-                for p in failed
-            ]
-        assert len(traces["array"]) == len(traces["dict"])
-        for array_trace, dict_trace in zip(traces["array"], traces["dict"]):
-            assert render_vcd(array_trace) == render_vcd(dict_trace)
+        product = RTLCheck().verify_test(get_test("mp"), memory_variant="buggy")
+        seed = RTLCheck(design_factory=dict_multi_vscale_factory).verify_test(
+            get_test("mp"), memory_variant="buggy"
+        )
+        vcds = _cex_vcds(product)
+        assert vcds, "buggy mp must produce a counterexample"
+        assert vcds == _cex_vcds(seed)
 
     def test_outcome_enumeration_agrees(self):
         """The architectural enumeration behind difftest's RTL oracle
         finds the same outcomes, states, and transition counts."""
         for variant in VARIANTS:
-            compiled = compile_test(get_test("sb"))
-            array = enumerate_design_outcomes(
-                MultiVScale(compiled, variant, state_backend="array")
-            )
+            product = enumerate_design_outcomes(_sc_design("sb", variant))
             seed = enumerate_design_outcomes(
-                MultiVScale(compiled, variant, state_backend="dict")
+                _sc_design("sb", variant, reference=True)
             )
-            assert array.outcomes == seed.outcomes, variant
-            assert array.complete == seed.complete
-            assert array.states == seed.states
-            assert array.transitions == seed.transitions
-            assert array.drained_states == seed.drained_states
+            assert product.outcomes == seed.outcomes, variant
+            assert product.complete == seed.complete
+            assert product.states == seed.states
+            assert product.transitions == seed.transitions
+            assert product.drained_states == seed.drained_states
+
+
+class TestTsoEquivalence:
+    """Multi-V-scale-TSO's slot layout against the nested-tuple
+    reference, under both drain orders."""
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=["fifo", "lifo"])
+    @pytest.mark.parametrize("name", TSO_SUBSET)
+    def test_graphs_isomorphic_by_construction_order(self, name, variant):
+        product = _build_full_graph(_tso_design(name, variant), name)
+        seed = _build_full_graph(_tso_design(name, variant, reference=True), name)
+        assert product.num_nodes == seed.num_nodes
+        assert product.sim_transitions == seed.sim_transitions
+        assert _edge_shape(product) == _edge_shape(seed)
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=["fifo", "lifo"])
+    @pytest.mark.parametrize("name", TSO_SUBSET)
+    def test_serialized_verdicts_identical(self, name, variant):
+        product = _tso_rtlcheck(observe=True).verify_test(get_test(name), variant)
+        seed = _tso_rtlcheck(reference=True, observe=True).verify_test(
+            get_test(name), variant
+        )
+        assert _canonical(product) == _canonical(seed), f"{name}/{variant}"
+        assert product.graph_states == seed.graph_states
+        assert _cex_vcds(product) == _cex_vcds(seed)
+
+    def test_lifo_counterexample_vcd_identical(self):
+        """The LIFO-drain bug's counterexamples render identically."""
+        product = _tso_rtlcheck().verify_test(get_test("mp"), "buggy")
+        seed = _tso_rtlcheck(reference=True).verify_test(get_test("mp"), "buggy")
+        vcds = _cex_vcds(product)
+        assert vcds, "lifo mp must produce a counterexample"
+        assert vcds == _cex_vcds(seed)
 
 
 class TestGraphStructure:
@@ -162,25 +224,25 @@ class TestGraphStructure:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_graphs_isomorphic_by_construction_order(self, variant):
-        array_graph, _ = _build_full_graph("mp", variant, "array")
-        dict_graph, _ = _build_full_graph("mp", variant, "dict")
-        assert array_graph.num_nodes == dict_graph.num_nodes
-        assert array_graph.expanded_nodes == dict_graph.expanded_nodes
-        assert array_graph.sim_transitions == dict_graph.sim_transitions
-        assert _edge_shape(array_graph) == _edge_shape(dict_graph)
+        product = _build_full_graph(_sc_design("mp", variant), "mp")
+        seed = _build_full_graph(_sc_design("mp", variant, reference=True), "mp")
+        assert product.num_nodes == seed.num_nodes
+        assert product.expanded_nodes == seed.expanded_nodes
+        assert product.sim_transitions == seed.sim_transitions
+        assert _edge_shape(product) == _edge_shape(seed)
 
     def test_interning_bounds_resident_states(self):
         """Regression for the memory win: a full mp-suite build interns
         at most one flat tuple per discovered node (hash-consing), and
         never fewer than one per *distinct* design state."""
         for variant in VARIANTS:
-            graph, design = _build_full_graph("mp", variant, "array")
+            design = _sc_design("mp", variant)
+            graph = _build_full_graph(design, "mp")
             assert graph.expanded_nodes == graph.num_nodes
             assert 0 < design.states_interned <= graph.expanded_nodes
 
     def test_equal_snapshots_share_one_id(self):
-        compiled = compile_test(get_test("mp"))
-        design = MultiVScale(compiled, "fixed", state_backend="array")
+        design = _sc_design("mp", "fixed")
         design.reset()
         first = design.snapshot()
         design.eval_comb({"arb_select": 0})
@@ -192,16 +254,16 @@ class TestGraphStructure:
         assert design.states_interned >= 1
 
     def test_array_graph_pickle_round_trips(self):
-        """Pickled array-backend graphs rehydrate with identical
-        structure and keep expanding; the interned form is more compact
-        than the dict backend's nested-tuple snapshots."""
-        array_graph, _ = _build_full_graph("mp", "fixed", "array")
-        dict_graph, _ = _build_full_graph("mp", "fixed", "dict")
-        blob = pickle.dumps(array_graph)
-        assert len(blob) < len(pickle.dumps(dict_graph))
+        """Pickled graphs rehydrate with identical structure and keep
+        expanding; the interned form is more compact than the
+        reference's nested-tuple snapshots."""
+        graph = _build_full_graph(_sc_design("mp", "fixed"), "mp")
+        seed = _build_full_graph(_sc_design("mp", "fixed", reference=True), "mp")
+        blob = pickle.dumps(graph)
+        assert len(blob) < len(pickle.dumps(seed))
         revived = pickle.loads(blob)
-        assert revived.num_nodes == array_graph.num_nodes
-        assert _edge_shape(revived) == _edge_shape(array_graph)
+        assert revived.num_nodes == graph.num_nodes
+        assert _edge_shape(revived) == _edge_shape(graph)
         # The revived design's interner still resolves every node.
         for node in range(revived.num_nodes):
             assert revived.design._interner.state(revived.snap(node))
@@ -210,9 +272,8 @@ class TestGraphStructure:
 class TestSnapshotRestore:
     """Round-trip and injectivity of the flat encoding."""
 
-    def _stepped(self, backend, schedule, name="mp"):
-        compiled = compile_test(get_test(name))
-        design = MultiVScale(compiled, "fixed", state_backend=backend)
+    def _stepped(self, schedule, name="mp", reference=False):
+        design = _sc_design(name, "fixed", reference=reference)
         design.reset()
         for select in schedule:
             design.eval_comb({"arb_select": select})
@@ -222,9 +283,9 @@ class TestSnapshotRestore:
     def test_round_trip_preserves_behavior(self):
         """restore(snapshot()) resumes an identical execution."""
         schedule = [0, 1, 1, 0, 1, 0, 0, 1]
-        design = self._stepped("array", schedule)
+        design = self._stepped(schedule)
         saved = design.snapshot()
-        reference = self._stepped("array", schedule)
+        reference = self._stepped(schedule)
         for select in [1, 0, 1, 1]:
             design.eval_comb({"arb_select": select})
             design.tick()
@@ -243,21 +304,63 @@ class TestSnapshotRestore:
     @settings(max_examples=30, deadline=None)
     def test_flat_encoding_is_injective(self, prefix_a, prefix_b):
         """Two executions reach the same interned id exactly when the
-        dict backend considers their states equal — the flat encoding
-        loses nothing (bools, None sentinels, memory words)."""
-        compiled = compile_test(get_test("sb"))
-        array = MultiVScale(compiled, "fixed", state_backend="array")
+        nested-tuple reference considers their states equal — the flat
+        encoding loses nothing (bools, None sentinels, memory words)."""
+        product = _sc_design("sb", "fixed")
         dict_ids = []
-        array_ids = []
+        product_ids = []
         for schedule in (prefix_a, prefix_b):
-            array.reset()
-            probe = self._stepped("dict", schedule, name="sb")
+            product.reset()
+            probe = self._stepped(schedule, name="sb", reference=True)
             for select in schedule:
-                array.eval_comb({"arb_select": select})
-                array.tick()
-            array_ids.append(array.snapshot())
+                product.eval_comb({"arb_select": select})
+                product.tick()
+            product_ids.append(product.snapshot())
             dict_ids.append(probe.snapshot())
-        assert (array_ids[0] == array_ids[1]) == (dict_ids[0] == dict_ids[1])
+        assert (product_ids[0] == product_ids[1]) == (dict_ids[0] == dict_ids[1])
+
+    @given(
+        buffers=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 3), st.integers(0, 2), st.integers(0, 8)
+                ),
+                max_size=STORE_BUFFER_CAPACITY,
+            ),
+            min_size=4,
+            max_size=4,
+        ),
+        pending=st.one_of(
+            st.none(),
+            st.tuples(st.just("L"), st.integers(0, 3), st.integers(0, 3)),
+            st.tuples(
+                st.just("D"),
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.integers(0, 2),
+                st.integers(0, 8),
+            ),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tso_encoding_is_injective(self, buffers, pending):
+        """Different store buffers or pending transactions give
+        different TSO slot vectors, and every vector decodes back to
+        the state that wrote it (zeros in an entry, a load's unused
+        slots, and an empty buffer must not collide)."""
+        design = _tso_design("sb", "fixed")
+        baseline = design.state_vector(design.snapshot())
+        design.buffers = [list(buf) for buf in buffers]
+        design.pending = pending
+        vector = design.state_vector(design.snapshot())
+        changed = any(buffers) or pending is not None
+        assert (vector != baseline) == changed
+        design.reset()
+        design.read_slots(vector)
+        assert design.buffers == [list(buf) for buf in buffers]
+        assert design.pending == pending
+        # The decoded state re-encodes to the same vector.
+        assert design.state_vector(design.snapshot()) == vector
 
     @given(
         states=st.lists(
@@ -313,40 +416,3 @@ class TestSnapshotRestore:
         c = revived.intern((9, 9))
         assert c == 2
         assert revived.intern((0, -1)) == a
-
-
-class TestBackendSelection:
-    """Plumbing: the backend is chosen at the RTLCheck/CLI layer."""
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError):
-            RTLCheck(state_backend="linked-list")
-
-    def test_cli_flag(self):
-        from repro.__main__ import build_parser
-
-        args = build_parser().parse_args(["verify", "mp"])
-        assert args.state_backend == "array"
-        args = build_parser().parse_args(
-            ["suite", "--state-backend", "dict"]
-        )
-        assert args.state_backend == "dict"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["verify", "mp", "--state-backend", "x"])
-
-    def test_cache_keys_distinguish_backends(self):
-        from repro.cache.keys import reach_key
-        from repro.mapping import MultiVScaleProgramMapping as Mapping
-
-        test = get_test("mp")
-        keys = {
-            reach_key(
-                test=test,
-                memory_variant="fixed",
-                design_factory=MultiVScale,
-                program_mapping_factory=Mapping,
-                state_backend=backend,
-            )
-            for backend in ("array", "dict")
-        }
-        assert len(keys) == 2

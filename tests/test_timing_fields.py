@@ -3,7 +3,8 @@
 These fields (added alongside the shared reachability-graph cache)
 profile where verification wall-clock goes; the invariants here pin
 their meaning: phases are disjoint slices of the wall time, graph
-counters are populated exactly when the graph-backed explorer runs,
+counters are populated exactly when the graph-backed explorer runs
+(the reference per-property explorer leaves them zero),
 and every property carries its own check time.
 """
 
@@ -16,16 +17,18 @@ from repro import RTLCheck, get_test
 def sb_graph():
     """sb under the graph explorer — it survives the cover shortcut, so
     both cover and proof phases run."""
-    return RTLCheck(use_reach_graph=True).verify_test(
-        get_test("sb"), memory_variant="fixed"
-    )
+    return RTLCheck().verify_test(get_test("sb"), memory_variant="fixed")
 
 
 @pytest.fixture(scope="module")
 def sb_per_property():
-    return RTLCheck(use_reach_graph=False).verify_test(
-        get_test("sb"), memory_variant="fixed"
-    )
+    """sb under the reference per-property explorer (substituted for
+    the module-level ``GraphExplorer`` name RTLCheck builds from)."""
+    from tests.reference.explorer import Explorer
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.core.rtlcheck.GraphExplorer", Explorer)
+        return RTLCheck().verify_test(get_test("sb"), memory_variant="fixed")
 
 
 class TestPhaseBudget:

@@ -156,6 +156,37 @@ class TestTsoDesignBehaviour:
         assert soc.snapshot() == snap
 
 
+class TestTsoSlotState:
+    """The TSO slot layout's static-shape guards and its counters."""
+
+    def test_buffer_above_capacity_rejected(self):
+        soc = MultiVScaleTSO(compile_test(get_test("sb")))
+        soc.buffers[2] = [(0, 1, 0)] * (STORE_BUFFER_CAPACITY + 1)
+        with pytest.raises(RtlError, match="capacity"):
+            soc.snapshot()
+
+    def test_store_to_undeclared_word_rejected(self):
+        compiled = compile_test(get_test("sb"))
+        soc = MultiVScaleTSO(compiled)
+        undeclared = max(compiled.initial_data_memory) + 1
+        # A drain commit of a store to a word outside the declared data.
+        soc.pending = ("D", 0, undeclared, 7, 0)
+        soc.eval_comb({"arb_select": 0})
+        soc.tick()
+        with pytest.raises(RtlError, match="declared data set"):
+            soc.snapshot()
+
+    def test_state_counters_reported(self):
+        """Every design reports the slot-vector counters."""
+        rtlcheck = RTLCheck.for_tso(observe=True, coverage=True)
+        result = rtlcheck.verify_test(get_test("mp"))
+        counters = result.obs["counters"]
+        assert 0 < counters["state.states_interned"] <= result.graph_states
+        assert counters["state.slots_copied"] > 0
+        assert "state.batch_expansions" in counters
+        assert result.obs["coverage"]["state"]
+
+
 class TestTsoNodeMapping:
     def test_memory_stage_maps_to_commit_signals(self):
         compiled = compile_test(get_test("mp"))

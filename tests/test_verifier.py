@@ -25,7 +25,6 @@ from repro.sva.monitor import run_monitor_on_trace
 from repro.verifier import (
     BOUNDED,
     Budget,
-    Explorer,
     FAILED,
     GraphExplorer,
     PROVEN,
@@ -42,9 +41,10 @@ from repro.verifier.engines import (
 )
 from repro.verifier.explorer import ExplorationResult
 from repro.vscale.soc import MultiVScale
+from tests.reference.explorer import Explorer
 
 
-def make_explorer(test_name, variant="fixed", cls=Explorer):
+def make_explorer(test_name, variant="fixed", cls=GraphExplorer):
     compiled = compile_test(get_test(test_name))
     design = MultiVScale(compiled, variant)
     assumptions = MultiVScaleProgramMapping(compiled).all_assumptions()
@@ -53,7 +53,8 @@ def make_explorer(test_name, variant="fixed", cls=Explorer):
 
 @pytest.fixture(params=[Explorer, GraphExplorer], ids=["per-property", "graph"])
 def explorer_cls(request):
-    """Both explorer backends must satisfy the same contract."""
+    """The product explorer and the reference per-property explorer
+    must satisfy the same contract."""
     return request.param
 
 

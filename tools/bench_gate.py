@@ -57,11 +57,6 @@ REACHGRAPH_VARIANTS = ("fixed", "buggy")
 PROOF_WALK_TESTS = ("amd3", "iriw", "co-iriw")
 SIMULATION_TESTS = ("mp", "iwp24")
 SIMULATION_SCHEDULES = 600
-#: The memoized kernel path replays schedules orders of magnitude
-#: faster, so its metric needs a much larger campaign to clear the
-#: timer-noise floor the gate threshold assumes.
-KERNEL_SIMULATION_TESTS = ("mp", "sb", "iwp24", "iriw")
-KERNEL_SIMULATION_SCHEDULES = 6000
 DIFFTEST_TESTS = ("mp", "sb", "iwp24", "iriw", "amd3")
 COVERAGE_TESTS = ("mp", "sb", "iwp24")
 POLYCHECK_TESTS = ("mp", "sb", "iriw")
@@ -95,7 +90,7 @@ def _expand_all(graph) -> None:
 
 
 def _bench_reachgraph() -> None:
-    """Cold full ReachGraph builds on the array backend."""
+    """Cold full ReachGraph builds."""
     from repro import get_test
     from repro.litmus import compile_test
     from repro.mapping import MultiVScaleProgramMapping
@@ -170,54 +165,6 @@ def _bench_simulation() -> None:
         )
 
 
-def _bench_kernel_reachgraph() -> None:
-    """Cold full ReachGraph builds on the compiled-kernel backend —
-    the same workload as ``reachgraph_build`` so the two trajectories
-    stay directly comparable.  Compile time is inside the measurement
-    (the kernel cache is process-global, so only the first build of
-    each design shape pays it — exactly what a verify run sees)."""
-    from repro import get_test
-    from repro.litmus import compile_test
-    from repro.mapping import MultiVScaleProgramMapping
-    from repro.sva import AssumptionChecker
-    from repro.verifier.reach import ReachGraph
-    from repro.vscale.soc import MultiVScale
-
-    for name in REACHGRAPH_TESTS:
-        compiled = compile_test(get_test(name))
-        assumptions = MultiVScaleProgramMapping(compiled).all_assumptions()
-        for variant in REACHGRAPH_VARIANTS:
-            graph = ReachGraph(
-                MultiVScale(compiled, variant, state_backend="kernel"),
-                AssumptionChecker(assumptions),
-            )
-            _expand_all(graph)
-
-
-def _bench_kernel_simulation() -> None:
-    """Random-schedule simulation on the compiled-kernel backend
-    (memoized per-(state, first) transition replay).  The campaign is
-    10x the interpreted ``simulation`` workload: the memoized path is
-    fast enough that the interpreted schedule count would measure
-    timer noise, not the replay machinery this metric gates."""
-    from repro import get_test
-    from repro.litmus import compile_test
-    from repro.mapping import MultiVScaleProgramMapping
-    from repro.verifier.simulation import simulate_check
-    from repro.vscale.soc import MultiVScale
-
-    for name in KERNEL_SIMULATION_TESTS:
-        compiled = compile_test(get_test(name))
-        mapping = MultiVScaleProgramMapping(compiled)
-        simulate_check(
-            MultiVScale(compiled, "fixed", state_backend="kernel"),
-            mapping.all_assumptions(),
-            [],
-            num_schedules=KERNEL_SIMULATION_SCHEDULES,
-            max_cycles=60,
-        )
-
-
 def _bench_difftest() -> None:
     """Uncached difftest oracle sweep (operational + axiomatic + RTL)."""
     from repro import get_test
@@ -275,8 +222,6 @@ METRICS: Dict[str, Callable[[], None]] = {
     "reachgraph_build": _bench_reachgraph,
     "proof_walk": _bench_proof_walk,
     "simulation": _bench_simulation,
-    "kernel_reachgraph": _bench_kernel_reachgraph,
-    "kernel_simulation": _bench_kernel_simulation,
     "difftest": _bench_difftest,
     "polycheck": _bench_polycheck,
     "coverage_overhead": _bench_coverage,
