@@ -63,6 +63,10 @@ memoized under ``--cache-dir`` (default ``$REPRO_CACHE_DIR``, else
 ``~/.cache/rtlcheck-repro``), making warm re-runs near-instant and
 interrupted campaigns resumable; ``--no-cache`` computes everything
 cold.  See ``docs/caching.md``.
+
+Errors: a rejected input (an unknown test name, ``--jobs 0``) or a
+unit that crashed in every attempt prints ``error: <message>`` to
+stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ import argparse
 import sys
 
 from repro import CONFIGS, RTLCheck, get_test, paper_suite
+from repro.errors import ReproError
 from repro.litmus import compile_test
 from repro.memodel import sc_allowed
 from repro.uhb import microarch_observable
@@ -417,15 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="size of the shared worker pool suite jobs shard over "
+        help="workers of the one executor every suite job shards over "
         "(default: 2)",
-    )
-    serve.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="bounded per-unit retries after a worker crash (default: 1)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -1012,7 +1010,6 @@ def cmd_serve(args) -> int:
         jobs=args.jobs,
         host=args.host,
         port=args.port,
-        retries=args.retries,
     )
 
     async def main():
@@ -1037,7 +1034,7 @@ def cmd_serve(args) -> int:
 def cmd_submit(args) -> int:
     import json
 
-    from repro.serve.client import ServeClient, ServeError
+    from repro.serve.client import ServeClient
 
     if args.job_kind == "fuzz":
         spec = {
@@ -1101,9 +1098,6 @@ def cmd_submit(args) -> int:
             print(f"job failed: {final.get('error')}", file=sys.stderr)
             return 2
         report = client.report(key)
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if events_file is not None:
             events_file.close()
@@ -1153,7 +1147,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,16 +26,17 @@ per-test counters regardless of job count.
 
 from __future__ import annotations
 
+import functools
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro import obs
 from repro.core.assertions import AssertionGenerator
 from repro.core.results import PropertyResult, TestVerification
 from repro.errors import ReproError
+from repro.executor import Executor, UnitCrashed, check_jobs, run_units
 from repro.litmus.test import CompiledTest, LitmusTest, compile_test
 from repro.mapping.node_mapping import MultiVScaleNodeMapping
 from repro.mapping.program_mapping import MultiVScaleProgramMapping
@@ -67,7 +68,7 @@ def _multi_vscale_tso_design_factory(compiled, variant):
 
 
 def _verify_suite_worker(rtlcheck: "RTLCheck", test, memory_variant):
-    """Module-level task body for the suite process pool.
+    """Module-level unit body of :meth:`RTLCheck.verify_suite`.
 
     Returns ``(result, cache_stats_delta)`` — workers hold their own
     :class:`~repro.cache.VerificationCache` copy (same on-disk root,
@@ -506,21 +507,27 @@ class RTLCheck:
         self,
         tests: List[LitmusTest],
         memory_variant: str = "fixed",
-        jobs: int = 1,
+        jobs: Union[int, Executor] = 1,
         progress: Optional[Callable[[TestVerification], None]] = None,
         checkpoint: bool = True,
     ) -> Dict[str, TestVerification]:
         """Verify a suite; returns results keyed by test name, in suite
-        order.  ``jobs > 1`` fans tests out over a process pool (tests
-        are fully independent).  ``progress``, when given, is called
-        with each :class:`TestVerification` as it completes — in
-        completion order for parallel runs.
+        order.  Tests are fully independent units, run through
+        :func:`repro.executor.run_units`: ``jobs`` is a worker count (1
+        runs in this process) or a shared :class:`~repro.executor.Executor`.
+        ``progress``, when given, is called with each
+        :class:`TestVerification` as it completes — in completion order
+        for parallel runs.
 
         With a cache attached, cached verdicts are fetched in the
-        parent before any worker is spawned (a fully-warm run never
-        touches the process pool), and — unless ``checkpoint=False`` —
-        a resume manifest is rewritten after every completed test, so
-        an interrupted campaign restarts from the last finished unit.
+        parent before any unit is dispatched (a fully-warm run never
+        touches a process pool), and — unless ``checkpoint=False`` — a
+        resume manifest is rewritten after every completed test, so an
+        interrupted campaign restarts from the last finished unit.
+
+        A test whose every attempt crashed is not checkpointed; the
+        other tests finish first, then its :class:`UnitCrashed` is
+        raised.
         """
         seen = set()
         for test in tests:
@@ -530,25 +537,21 @@ class RTLCheck:
                     "are keyed by name, a duplicate would be dropped"
                 )
             seen.add(test.name)
+        dispatch = isinstance(jobs, Executor) or check_jobs(jobs) > 1
         manifest = None
         if self.cache is not None and checkpoint:
-            from repro.cache import keys as cache_keys
-
-            campaign = cache_keys.campaign_key(
-                "suite",
-                {
-                    "memory_variant": memory_variant,
-                    "observe": self.observe,
-                    "verdicts": [
-                        self.verdict_key(test, memory_variant)
-                        for test in tests
-                    ],
-                },
-            )
-            manifest = self.cache.checkpoint(campaign, total=len(tests))
+            manifest = self.suite_checkpoint(tests, memory_variant)
         results: Dict[str, TestVerification] = {}
+
+        def finished(result: TestVerification) -> None:
+            results[result.test.name] = result
+            if manifest is not None:
+                manifest.mark_done(result.test.name)
+            if progress is not None:
+                progress(result)
+
         pending = list(tests)
-        if jobs > 1 and len(tests) > 1:
+        if dispatch:
             try:
                 pickle.dumps(self)
             except Exception as exc:
@@ -570,37 +573,44 @@ class RTLCheck:
                     )
                     if cached is None:
                         pending.append(test)
-                        continue
-                    results[test.name] = cached
-                    if manifest is not None:
-                        manifest.mark_done(test.name)
-                    if progress is not None:
-                        progress(cached)
-        if jobs > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    pool.submit(
-                        _verify_suite_worker, self, test, memory_variant
-                    ): test.name
-                    for test in pending
-                }
-                for future in as_completed(futures):
-                    result, stats = future.result()
-                    results[futures[future]] = result
-                    if self.cache is not None and stats:
-                        self.cache.stats.merge(stats)
-                    if manifest is not None:
-                        manifest.mark_done(futures[future])
-                    if progress is not None:
-                        progress(result)
-        else:
-            for test in pending:
-                result = self.verify_test(test, memory_variant)
-                results[test.name] = result
-                if manifest is not None:
-                    manifest.mark_done(test.name)
-                if progress is not None:
-                    progress(result)
+                    else:
+                        finished(cached)
+        crashed = None
+        units = run_units(
+            functools.partial(
+                _verify_suite_worker, self, memory_variant=memory_variant
+            ),
+            pending,
+            jobs,
+            label=lambda test: test.name,
+        )
+        for _index, outcome in units:
+            if isinstance(outcome, UnitCrashed):
+                crashed = crashed or outcome
+                continue
+            result, stats = outcome
+            if dispatch and self.cache is not None and stats:
+                self.cache.stats.merge(stats)
+            finished(result)
+        if crashed is not None:
+            raise crashed
         if manifest is not None:
             manifest.finish()
         return {test.name: results[test.name] for test in tests}
+
+    def suite_checkpoint(self, tests: List[LitmusTest], memory_variant: str):
+        """The resume manifest :meth:`verify_suite` keeps for ``tests``
+        (requires a cache)."""
+        from repro.cache import keys as cache_keys
+
+        campaign = cache_keys.campaign_key(
+            "suite",
+            {
+                "memory_variant": memory_variant,
+                "observe": self.observe,
+                "verdicts": [
+                    self.verdict_key(test, memory_variant) for test in tests
+                ],
+            },
+        )
+        return self.cache.checkpoint(campaign, total=len(tests))

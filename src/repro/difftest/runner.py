@@ -13,12 +13,11 @@ Determinism contract (the whole point of a *seeded* fuzzer):
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
-
-import os
 
 from repro import obs
 from repro.difftest.compare import Discrepancy, cross_check
@@ -34,6 +33,7 @@ from repro.difftest.shrink import (
     shrink_test,
 )
 from repro.errors import ReproError
+from repro.executor import Executor, UnitCrashed, check_jobs, run_units
 from repro.litmus.test import LitmusTest
 from repro.verifier.outcomes import DEFAULT_MAX_STATES
 
@@ -81,22 +81,11 @@ class FuzzConfig:
     #: directory's ``coverage/coverage.json`` when a cache is attached;
     #: without either, the campaign map is not persisted.
     coverage_db: Optional[str] = None
-    #: In-parent retries after a worker crash before the test is
-    #: recorded under the ``crashed`` contract.  Execution policy like
-    #: ``jobs`` — never part of the campaign key, and 0 (the default)
-    #: preserves the record-only behavior.  The job server sets this
-    #: so one flaky worker death cannot fail a long campaign.
-    crash_retries: int = 0
 
     def __post_init__(self):
         if self.budget < 0:
             raise ReproError(f"budget must be >= 0, got {self.budget}")
-        if self.crash_retries < 0:
-            raise ReproError(
-                f"crash_retries must be >= 0, got {self.crash_retries}"
-            )
-        if self.jobs < 1:
-            raise ReproError(f"jobs must be >= 1, got {self.jobs}")
+        check_jobs(self.jobs)
         if self.memory_variant not in ("fixed", "buggy"):
             raise ReproError(
                 f"memory_variant must be 'fixed' or 'buggy', "
@@ -184,18 +173,6 @@ class FuzzResult:
         return fuzz_report(self)
 
 
-#: Test-crash injection hook for the worker-crash regression tests:
-#: when set to a test name, the worker raises a non-ReproError for that
-#: test.  An environment variable (not a monkeypatch) because pool
-#: workers live in separate processes.
-CRASH_TEST_ENV = "REPRO_DIFFTEST_CRASH_TEST"
-
-#: One-shot crash injection for the *retry* regression tests: the value
-#: is ``"<test>:<path>"``, and the worker raises for ``<test>`` only
-#: while ``<path>`` exists, unlinking it first — so the first attempt
-#: crashes deterministically and a bounded retry succeeds.
-CRASH_ONCE_ENV = "REPRO_DIFFTEST_CRASH_ONCE"
-
 #: Batch size of the coverage campaign loop.  Fixed (never derived from
 #: ``--jobs``) so the generated test stream — including every guided
 #: scheduling decision, which can only see feedback from *previous*
@@ -203,66 +180,49 @@ CRASH_ONCE_ENV = "REPRO_DIFFTEST_CRASH_ONCE"
 _COVERAGE_ROUND = 16
 
 
-def _fuzz_worker(
-    test,
-    memory_variant,
-    oracles,
-    max_states,
-    observe,
-    cache_dir=None,
-    trace_samples=DEFAULT_TRACE_SAMPLES,
-    trace_seed=0,
-    coverage=False,
-):
-    """Module-level task body for the fuzz process pool: evaluate one
-    test, cross-check, and ship everything picklable back (including
-    this evaluation's cache-statistics delta, merged by the parent)."""
-    if os.environ.get(CRASH_TEST_ENV) == test.name:
-        raise RuntimeError(f"injected worker crash on {test.name}")
-    once = os.environ.get(CRASH_ONCE_ENV)
-    if once:
-        target, _, path = once.partition(":")
-        if target == test.name and path and os.path.exists(path):
-            os.unlink(path)
-            raise RuntimeError(f"injected one-shot worker crash on {test.name}")
+def _oracles_for(config: FuzzConfig, test: LitmusTest) -> Tuple[str, ...]:
+    """Long tests exceed the exhaustive oracles' caps: route them to the
+    trace oracle alone (counted under ``skipped``)."""
+    if test.instruction_count() <= _TOTAL_OPS_CAP:
+        return config.oracles
+    return tuple(o for o in config.oracles if o == "trace")
+
+
+def _fuzz_worker(config: FuzzConfig, test: LitmusTest) -> Dict:
+    """Unit body of a fuzz campaign: evaluate one test, cross-check, and
+    ship everything picklable back (including this evaluation's
+    cache-statistics delta, merged by the parent)."""
     cache = None
-    if cache_dir is not None:
+    if config.cache_dir is not None:
         from repro.cache import VerificationCache
 
-        cache = VerificationCache(cache_dir)
+        cache = VerificationCache(config.cache_dir)
     recorder = None
-    if observe:
+    if config.observe:
         coverage_map = None
-        if coverage:
+        if config.coverage:
             from repro.obs.coverage import CoverageMap
 
             coverage_map = CoverageMap()
         recorder = obs.TraceRecorder(coverage=coverage_map)
-    elif coverage:
+    elif config.coverage:
         # Coverage without metrics: the enabled=False sink keeps every
         # span/counter call a no-op (the <3% overhead budget).
         recorder = obs.CoverageRecorder()
     try:
-        if recorder is not None:
-            with obs.use_recorder(recorder):
-                verdicts = evaluate_oracles(
-                    test,
-                    memory_variant,
-                    oracles,
-                    max_states=max_states,
-                    cache=cache,
-                    trace_samples=trace_samples,
-                    trace_seed=trace_seed,
-                )
-        else:
+        with (
+            contextlib.nullcontext()
+            if recorder is None
+            else obs.use_recorder(recorder)
+        ):
             verdicts = evaluate_oracles(
                 test,
-                memory_variant,
-                oracles,
-                max_states=max_states,
+                config.memory_variant,
+                _oracles_for(config, test),
+                max_states=config.max_states,
                 cache=cache,
-                trace_samples=trace_samples,
-                trace_seed=trace_seed,
+                trace_samples=config.trace_samples,
+                trace_seed=config.seed,
             )
     except ReproError as exc:
         return {
@@ -283,39 +243,33 @@ def _fuzz_worker(
     }
 
 
-def _crash_outcome(exc: BaseException) -> Dict:
-    """Worker-crash placeholder outcome: the campaign records the crash
-    as a per-test error (with a ``crashed`` marker) and keeps going —
-    one broken worker must not kill a long campaign."""
-    return {
-        "error": f"worker crashed: {exc!r}",
-        "crashed": True,
-        "summary": None,
-        "discrepancies": [],
-        "rtl_incomplete": False,
-        "obs": None,
-        "cache_stats": None,
-    }
-
-
-def _retry_outcome(
-    config: FuzzConfig, args: Tuple, exc: BaseException
-) -> Tuple[Dict, Optional[BaseException]]:
-    """Bounded in-parent re-evaluation after a worker crash.
-
-    Returns ``(outcome, crash_exc)``: ``crash_exc`` is ``None`` when a
-    retry succeeded (the caller may checkpoint the unit) and the last
-    exception when retries were exhausted (the outcome then carries the
-    ``crashed`` contract, and the unit stays unchecked so a resumed run
-    retries it again).
-    """
-    last = exc
-    for _ in range(config.crash_retries):
-        try:
-            return _fuzz_worker(*args), None
-        except Exception as retry_exc:
-            last = retry_exc
-    return _crash_outcome(last), last
+def _evaluate(config, tests, jobs, manifest, first_index=0):
+    """Evaluate ``tests`` (stream indices from ``first_index``) through
+    :func:`repro.executor.run_units`, yielding ``(slot, outcome)`` in
+    completion order.  A unit that crashed in every attempt becomes a
+    ``crashed`` placeholder outcome — the campaign records it as a
+    per-test error and keeps going — and is not checkpointed as done,
+    so a resumed run retries it."""
+    units = run_units(
+        functools.partial(_fuzz_worker, config),
+        tests,
+        jobs,
+        label=lambda test: test.name,
+    )
+    for slot, outcome in units:
+        if isinstance(outcome, UnitCrashed):
+            outcome = {
+                "error": f"worker crashed: {outcome.error}",
+                "crashed": True,
+                "summary": None,
+                "discrepancies": [],
+                "rtl_incomplete": False,
+                "obs": None,
+                "cache_stats": None,
+            }
+        elif manifest is not None:
+            manifest.mark_done(str(first_index + slot))
+        yield slot, outcome
 
 
 def _tally(tally: Dict[str, int], summary: Dict) -> None:
@@ -403,8 +357,6 @@ def _run_coverage_campaign(
     config: FuzzConfig,
     result: FuzzResult,
     generator: FuzzGenerator,
-    oracles_for,
-    worker_args,
     cache,
     manifest,
     progress,
@@ -436,12 +388,11 @@ def _run_coverage_campaign(
             # (seed, budget) functions).
             scheduler.load_corpus(CoverageDB(db_path).load().get("corpus", []))
 
-    pool = None
+    # One executor for the whole campaign: batches reuse its pool.
+    jobs = Executor(config.jobs) if config.jobs > 1 else 1
     produced = 0
     new_cumulative = 0
     try:
-        if config.jobs > 1 and config.budget > 1:
-            pool = ProcessPoolExecutor(max_workers=config.jobs)
         while produced < config.budget:
             size = min(_COVERAGE_ROUND, config.budget - produced)
             if scheduler is not None:
@@ -450,49 +401,20 @@ def _run_coverage_campaign(
                 batch = [
                     generator.test_at(produced + i) for i in range(size)
                 ]
-            batch_outcomes: Dict[int, Dict] = {}
-            if pool is not None and size > 1:
-                futures = {
-                    pool.submit(_fuzz_worker, *worker_args(test)): slot
-                    for slot, test in enumerate(batch)
-                }
-                for future in as_completed(futures):
-                    slot = futures[future]
-                    try:
-                        batch_outcomes[slot] = future.result()
-                    except Exception as exc:
-                        batch_outcomes[slot], crashed = _retry_outcome(
-                            config, worker_args(batch[slot]), exc
-                        )
-                        if crashed is not None:
-                            continue
-                    if manifest is not None:
-                        manifest.mark_done(str(produced + slot))
-            else:
-                for slot, test in enumerate(batch):
-                    try:
-                        batch_outcomes[slot] = _fuzz_worker(
-                            *worker_args(test)
-                        )
-                    except Exception as exc:
-                        batch_outcomes[slot], crashed = _retry_outcome(
-                            config, worker_args(test), exc
-                        )
-                        if crashed is not None:
-                            continue
-                    if manifest is not None:
-                        manifest.mark_done(str(produced + slot))
+            batch_outcomes = dict(
+                _evaluate(config, batch, jobs, manifest, produced)
+            )
             for slot, test in enumerate(batch):
                 outcome = batch_outcomes[slot]
                 index = produced + slot
-                if oracles_for(test) != config.oracles:
+                if _oracles_for(config, test) != config.oracles:
                     result.skipped["long_program"] = (
                         result.skipped.get("long_program", 0) + 1
                     )
                 delta = CoverageMap.from_state(
                     (outcome.get("obs") or {}).get("coverage")
                 )
-                if "verifier" not in oracles_for(test):
+                if "verifier" not in _oracles_for(config, test):
                     # The verifier-side flush point never ran for this
                     # test (trace-only routing): record its shape
                     # features parent-side so long programs still count
@@ -518,8 +440,8 @@ def _run_coverage_campaign(
                     progress(index, test.name, new_cumulative)
             produced += size
     finally:
-        if pool is not None:
-            pool.shutdown()
+        if isinstance(jobs, Executor):
+            jobs.shutdown()
 
     result.coverage = coverage_map.to_state()
     if db_path is not None:
@@ -593,96 +515,29 @@ def run_fuzz(
         # guided scheduler needs feedback between batches).
         tests = None if config.coverage else generator.suite(config.budget)
 
-    def oracles_for(test: LitmusTest) -> Tuple[str, ...]:
-        """Long tests exceed the exhaustive oracles' caps: route them to
-        the trace oracle alone (counted under ``skipped``)."""
-        if test.instruction_count() <= _TOTAL_OPS_CAP:
-            return config.oracles
-        return tuple(o for o in config.oracles if o == "trace")
-
     if tests is not None:
         long_gated = sum(
-            1 for test in tests if oracles_for(test) != config.oracles
+            1 for test in tests if _oracles_for(config, test) != config.oracles
         )
         if long_gated:
             result.skipped["long_program"] = long_gated
-
-    def worker_args(test: LitmusTest) -> Tuple:
-        return (
-            test,
-            config.memory_variant,
-            oracles_for(test),
-            config.max_states,
-            config.observe,
-            config.cache_dir,
-            config.trace_samples,
-            config.seed,
-            config.coverage,
-        )
 
     obs_states: List[Dict] = []
     with obs.span("fuzz.evaluate", jobs=config.jobs):
         if config.coverage:
             _run_coverage_campaign(
-                config,
-                result,
-                generator,
-                oracles_for,
-                worker_args,
-                cache,
-                manifest,
-                progress,
-                obs_states,
+                config, result, generator, cache, manifest, progress, obs_states
             )
-        elif config.jobs > 1 and len(tests) > 1:
+        else:
             outcomes: Dict[int, Dict] = {}
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                futures = {
-                    pool.submit(_fuzz_worker, *worker_args(test)): index
-                    for index, test in enumerate(tests)
-                }
-                for future in as_completed(futures):
-                    index = futures[future]
-                    try:
-                        outcomes[index] = future.result()
-                    except Exception as exc:
-                        # A non-ReproError escape killed the worker.
-                        # Retry in-parent up to ``crash_retries`` times;
-                        # an exhausted unit is recorded per-test and NOT
-                        # marked done in the checkpoint manifest, so a
-                        # resumed run retries it.
-                        outcomes[index], crashed = _retry_outcome(
-                            config, worker_args(tests[index]), exc
-                        )
-                        if crashed is None and manifest is not None:
-                            manifest.mark_done(str(index))
-                    else:
-                        if manifest is not None:
-                            manifest.mark_done(str(index))
-                    if progress is not None:
-                        progress(index, tests[index].name)
+            for index, outcome in _evaluate(config, tests, config.jobs, manifest):
+                outcomes[index] = outcome
+                if progress is not None:
+                    progress(index, tests[index].name)
             for index, test in enumerate(tests):
                 _process_outcome(
                     config, result, cache, obs_states, test, index,
                     outcomes[index],
-                )
-        else:
-            for index, test in enumerate(tests):
-                try:
-                    outcome = _fuzz_worker(*worker_args(test))
-                except Exception as exc:
-                    outcome, crashed = _retry_outcome(
-                        config, worker_args(test), exc
-                    )
-                    if crashed is None and manifest is not None:
-                        manifest.mark_done(str(index))
-                else:
-                    if manifest is not None:
-                        manifest.mark_done(str(index))
-                if progress is not None:
-                    progress(index, test.name)
-                _process_outcome(
-                    config, result, cache, obs_states, test, index, outcome
                 )
 
     if config.shrink and result.discrepancies:

@@ -12,12 +12,12 @@ Request lifecycle (the dataflow diagram lives in
    new submission attaches to the running computation); a finished
    record under the key is a *cache hit* served straight from disk —
    no worker pool, no recomputation;
-3. **shard** — suite jobs split into per-test units: verdict-tier hits
-   are replayed parent-side (the same prefetch discipline as
-   ``verify_suite``), and only the misses dispatch to the shared
-   :class:`~repro.serve.pool.WorkerPool`.  Fuzz jobs run
-   :func:`run_fuzz` in a thread with the server's cache directory, so
-   they inherit the campaign's own checkpointing and oracle tiers;
+3. **shard** — a suite job is ``verify_suite`` in a thread on the
+   server's one shared :class:`~repro.executor.Executor`: verdict-tier
+   hits are replayed parent-side, and only the misses dispatch to its
+   pool.  Fuzz jobs run :func:`run_fuzz` in a thread with the server's
+   cache directory, so they inherit the campaign's own checkpointing
+   and oracle tiers;
 4. **stream** — every job appends schema-versioned progress events
    (kind ``rtlcheck-serve-event``), served as NDJSON from
    ``GET /v1/jobs/<key>/events``;
@@ -46,6 +46,7 @@ import threading
 from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.executor import Executor
 from repro.serve.jobs import (
     JobStore,
     job_key,
@@ -53,7 +54,6 @@ from repro.serve.jobs import (
     rtlcheck_for,
     validate_spec,
 )
-from repro.serve.pool import WorkerPool, suite_unit
 
 #: Default TCP port (``--port`` overrides; ``port=0`` picks a free one).
 DEFAULT_PORT = 8357
@@ -127,7 +127,6 @@ class JobServer:
         jobs: int = 2,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        retries: int = 1,
     ):
         from repro.cache import default_cache_dir
 
@@ -135,9 +134,10 @@ class JobServer:
         self.host = host
         self.port = port
         self.jobs = jobs
-        self.retries = retries
         self.store = JobStore(self.cache_dir)
-        self.pool = WorkerPool(jobs)
+        # Every suite job shards over this one executor, so ``jobs``
+        # bounds the server's suite workers, not each job's.
+        self.executor = Executor(jobs)
         self.jobs_by_key: Dict[str, Job] = {}
         self.counters: Dict[str, int] = {
             "submitted": 0,
@@ -194,7 +194,7 @@ class JobServer:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        self.pool.shutdown()
+        self.executor.shutdown(wait=False)
         if self._stopped is not None:
             self._stopped.set()
 
@@ -236,14 +236,21 @@ class JobServer:
         job.emit(
             "started", job_kind=job.spec["kind"], params=job.spec["params"]
         )
+        loop = asyncio.get_running_loop()
+
+        def emit(event_type: str, **fields: Any) -> None:
+            # The job bodies run in threads; events append on the loop.
+            loop.call_soon_threadsafe(
+                functools.partial(job.emit, event_type, **fields)
+            )
+
+        suite = job.spec["kind"] == "suite"
         try:
-            if job.spec["kind"] == "suite":
-                report = await self._run_suite_job(job)
-            else:
-                loop = asyncio.get_running_loop()
-                report = await asyncio.to_thread(
-                    self._run_fuzz_sync, job, loop
-                )
+            report = await asyncio.to_thread(
+                self._run_suite_sync if suite else self._run_fuzz_sync,
+                job,
+                emit,
+            )
         except asyncio.CancelledError:
             # Server shutdown: the pending journal entry survives, so a
             # restarted server resumes this job from its checkpoints.
@@ -265,10 +272,10 @@ class JobServer:
             self.counters["completed"] += 1
             job.emit("done", stats=dict(job.stats), source="created")
 
-    async def _run_suite_job(self, job: Job) -> Dict[str, Any]:
-        """Shard a suite job into per-test units over the shared pool,
-        with the same parent-side verdict prefetch as ``verify_suite``:
-        a fully-warm job completes without the pool ever existing."""
+    def _run_suite_sync(self, job: Job, emit) -> Dict[str, Any]:
+        """Thread body of a suite job: ``verify_suite`` on the shared
+        executor, so a served verdict is the CLI's verdict by
+        construction and a fully-warm job never spawns a worker."""
         from repro import get_test, obs
         from repro.cache import VerificationCache
 
@@ -277,50 +284,33 @@ class JobServer:
         cache = VerificationCache(self.cache_dir)
         rtlcheck = rtlcheck_for(params, cache=cache)
         tests = [get_test(name) for name in params["tests"]]
-        manifest = cache.checkpoint(job.key, total=len(tests))
-        job.stats["resumed"] = manifest.resumed
-
-        results: Dict[str, Any] = {}
-        pending = []
-        for test in tests:
-            cached = cache.load_verdict(
-                rtlcheck.verdict_key(test, memory_variant),
-                observe=params["observe"],
-            )
-            if cached is None:
-                pending.append(test)
-                continue
-            results[test.name] = cached
-            manifest.mark_done(test.name)
-            self._emit_unit(job, cached, cached=True)
+        job.stats["resumed"] = rtlcheck.suite_checkpoint(
+            tests, memory_variant
+        ).resumed
         job.stats["units_total"] = len(tests)
-        job.stats["units_cached"] = len(tests) - len(pending)
+        job.stats["units_cached"] = 0
+        verdict_hits = [0]
 
-        async def run_one(test):
-            result, stats = await self.pool.run_unit(
-                suite_unit,
-                (rtlcheck, test, memory_variant),
-                retries=self.retries,
-                label=test.name,
+        def progress(result) -> None:
+            # A unit is ``cached`` when its verdict was replayed from
+            # the verdict tier rather than computed.
+            hits = cache.stats.get("cache.verdict.hits")
+            cached = hits > verdict_hits[0]
+            verdict_hits[0] = hits
+            job.stats["units_cached"] += cached
+            emit(
+                "unit",
+                test=result.test.name,
+                summary=result.summary(),
+                bug_found=result.bug_found,
+                cached=cached,
             )
-            if stats:
-                cache.stats.merge(stats)
-            results[test.name] = result
-            manifest.mark_done(test.name)
-            self._emit_unit(job, result, cached=False)
 
-        if pending:
-            outcomes = await asyncio.gather(
-                *(run_one(test) for test in pending), return_exceptions=True
-            )
-            for outcome in outcomes:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-        manifest.finish()
-
-        ordered = {test.name: results[test.name] for test in tests}
+        results = rtlcheck.verify_suite(
+            tests, memory_variant, jobs=self.executor, progress=progress
+        )
         report = obs.suite_report(
-            ordered,
+            results,
             config_name=params["config"],
             memory_variant=memory_variant,
             jobs=None,
@@ -334,19 +324,11 @@ class JobServer:
         job.stats["cache"] = cache.stats.snapshot()
         return report
 
-    def _emit_unit(self, job: Job, result, cached: bool) -> None:
-        job.emit(
-            "unit",
-            test=result.test.name,
-            summary=result.summary(),
-            bug_found=result.bug_found,
-            cached=cached,
-        )
-
-    def _run_fuzz_sync(self, job: Job, loop: asyncio.AbstractEventLoop):
+    def _run_fuzz_sync(self, job: Job, emit) -> Dict[str, Any]:
         """Thread body of a fuzz job.  ``run_fuzz`` brings its own
-        checkpointing, oracle memoization, and worker pool; progress
-        callbacks marshal back onto the event loop as stream events."""
+        checkpointing, oracle memoization, and its own executor of
+        ``params["jobs"]`` workers (outside the server's ``--jobs``
+        bound)."""
         from repro.difftest import FuzzConfig, run_fuzz, validate_fuzz_report
 
         params = job.spec["params"]
@@ -359,16 +341,13 @@ class JobServer:
             long_programs=params["long_programs"],
             trace_samples=params["trace_samples"],
             cache_dir=self.cache_dir,
-            crash_retries=self.retries,
         )
 
         def progress(index, name, new=None):
             fields = {"index": index, "test": name}
             if new is not None:
                 fields["new_coverage"] = new
-            loop.call_soon_threadsafe(
-                functools.partial(job.emit, "progress", **fields)
-            )
+            emit("progress", **fields)
 
         result = run_fuzz(config, progress=progress)
         report = result.report()
@@ -445,7 +424,7 @@ class JobServer:
                 200,
                 {
                     "counters": dict(self.counters),
-                    "pool": dict(self.pool.counters),
+                    "pool": dict(self.executor.counters),
                     "jobs_known": len(self.jobs_by_key),
                 },
             )

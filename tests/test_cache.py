@@ -245,12 +245,12 @@ class TestSuiteCaching:
         rc = RTLCheck(cache=VerificationCache(tmp_path))
         rc.verify_suite(tests, jobs=1)
         # A fully-warm run must never spawn a worker.
-        import repro.core.rtlcheck as rtlcheck_mod
+        import repro.executor as executor_mod
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("process pool dispatched on a warm run")
 
-        monkeypatch.setattr(rtlcheck_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", boom)
         warm = rc.verify_suite(tests, jobs=4)
         assert set(warm) == {t.name for t in tests}
 

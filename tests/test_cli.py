@@ -104,6 +104,27 @@ class TestCommands:
         assert "[1/2]" in out and "[2/2]" in out
 
 
+class TestErrorContract:
+    """A rejected input is one ``error:`` line on stderr and exit code
+    2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "nosuch"], "no suite test named 'nosuch'"),
+            (["suite", "--jobs", "0"], "jobs must be an integer >= 1, got 0"),
+            (["fuzz", "--jobs", "0"], "jobs must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_rejected_input_exits_two_with_one_error_line(
+        self, argv, message, capsys
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 class TestObservability:
     def _load_valid_report(self, path):
         import json

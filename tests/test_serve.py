@@ -25,6 +25,7 @@ import pytest
 from repro import CONFIGS, RTLCheck, get_test, obs
 from repro.cache import VerificationCache
 from repro.errors import ReproError
+from repro.executor import CRASH_ENV
 from repro.serve import (
     ServeClient,
     ServeError,
@@ -34,7 +35,6 @@ from repro.serve import (
     validate_event,
     validate_spec,
 )
-from repro.serve import pool as serve_pool
 from repro.serve.jobs import JobStore
 
 SUITE_TESTS = ["mp", "sb"]
@@ -483,7 +483,7 @@ def test_pending_entry_with_removed_fields_is_dropped(tmp_path):
 def test_crashed_unit_is_retried_once_and_job_completes(tmp_path, monkeypatch):
     marker = tmp_path / "crash-once"
     marker.write_text("armed")
-    monkeypatch.setenv(serve_pool.CRASH_ONCE_ENV, f"sb:{marker}")
+    monkeypatch.setenv(CRASH_ENV, f"sb:{marker}")
     with ThreadedServer(cache_dir=str(tmp_path / "cache"), jobs=1) as ts:
         client = ServeClient("127.0.0.1", ts.port, timeout=300)
         submission, report = client.run(
@@ -499,37 +499,59 @@ def test_crashed_unit_is_retried_once_and_job_completes(tmp_path, monkeypatch):
 
 
 def test_exhausted_retries_fail_the_job_not_the_server(tmp_path, monkeypatch):
-    marker = tmp_path / "crash-once"
-    marker.write_text("armed")
-    monkeypatch.setenv(serve_pool.CRASH_ONCE_ENV, f"sb:{marker}")
+    monkeypatch.setenv(CRASH_ENV, "sb")
     spec = {"kind": "suite", "params": {"tests": ["sb"]}}
-    with ThreadedServer(cache_dir=str(tmp_path / "cache"), jobs=1, retries=0) as ts:
+    with ThreadedServer(cache_dir=str(tmp_path / "cache"), jobs=1) as ts:
         client = ServeClient("127.0.0.1", ts.port, timeout=300)
         key = client.submit(spec)["job"]
         final = client.wait(key, timeout=300)
         assert final["state"] == "failed"
         assert "sb" in final["error"]
+        assert client.stats()["pool"]["unit_retries"] == 1
         with pytest.raises(ServeError, match="410"):
             client.report(key)
-        # The server survives, and a failed job is resubmittable: the
-        # crash marker is consumed, so the retry now succeeds.
+        # The server survives, and a failed job is resubmittable: with
+        # the hook cleared (it is read at dispatch, so the live pool
+        # sees the change), the retry now succeeds.
+        monkeypatch.delenv(CRASH_ENV)
         assert client.submit(spec)["source"] == "created"
         assert client.wait(key, timeout=300)["state"] == "done"
         assert obs.validate_report(client.report(key)) == []
 
 
 def test_fuzz_crash_retries_recover_the_campaign(tmp_path, monkeypatch):
-    from repro.difftest import FuzzConfig, run_fuzz
-    from repro.difftest.runner import CRASH_ONCE_ENV
-    from repro.difftest import FuzzGenerator
+    from repro.difftest import FuzzConfig, FuzzGenerator, run_fuzz
 
     victim = FuzzGenerator(11).suite(3)[1].name
     marker = tmp_path / "crash-once"
     marker.write_text("armed")
-    monkeypatch.setenv(CRASH_ONCE_ENV, f"{victim}:{marker}")
-    config = FuzzConfig(seed=11, budget=3, shrink=False, crash_retries=1)
+    monkeypatch.setenv(CRASH_ENV, f"{victim}:{marker}")
+    config = FuzzConfig(seed=11, budget=3, shrink=False)
     result = run_fuzz(config)
     assert not marker.exists(), "the injected crash must have fired"
     assert result.tests_run == 3
     assert not [e for e in result.oracle_errors if e.get("crashed")]
     assert result.skipped.get("worker_crashed", 0) == 0
+
+
+def test_served_fuzz_job_with_two_workers_streams_to_eof(tmp_path):
+    """A served fuzz job with ``jobs: 2`` fans out over its own executor
+    inside the threaded server.  Its workers are spawn-started, so none
+    holds a duplicate of the event-stream socket: the job completes and
+    its ``/events`` stream reaches EOF."""
+    spec = {
+        "kind": "fuzz",
+        "params": {
+            "seed": 5,
+            "budget": 6,
+            "jobs": 2,
+            "oracles": ["operational", "axiomatic"],
+        },
+    }
+    seen = []
+    with ThreadedServer(cache_dir=str(tmp_path / "cache"), jobs=1) as ts:
+        client = ServeClient("127.0.0.1", ts.port, timeout=120)
+        submission, report = client.run(spec, on_event=seen.append)
+    assert submission["source"] == "created"
+    assert report["tests_run"] == 6
+    assert seen[-1]["event"] == "done"
