@@ -23,7 +23,6 @@ generated test (see the test suite).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -282,6 +281,7 @@ def generate_from_cycle(name: str, cycle: Sequence[str]) -> LitmusTest:
 def cycle_signature(cycle: Sequence[str]) -> Tuple[str, ...]:
     """Canonical form of a cycle: the lexicographically smallest rotation
     that keeps an external edge in the wrap-around position."""
+    _resolve(cycle)
     rotations = []
     cycle = tuple(cycle)
     for shift in range(len(cycle)):
@@ -327,6 +327,27 @@ def random_cycle(
     )
 
 
+def _typed_chains(
+    specs: Sequence[EdgeSpec], length: int, prefix: Tuple[str, ...] = ()
+):
+    """Yield every ``length``-edge string over ``specs`` that extends
+    ``prefix``, in which each edge starts at the event type the previous
+    one ends at, and whose last edge is external and ends at the type
+    the first one starts at."""
+    depth = len(prefix)
+    if depth == length:
+        yield prefix
+        return
+    closing = depth == length - 1
+    for spec in specs:
+        if depth and spec.src != CYCLE_EDGES[prefix[-1]].dst:
+            continue
+        first = CYCLE_EDGES[prefix[0]] if depth else spec
+        if closing and not (spec.external and spec.dst == first.src):
+            continue
+        yield from _typed_chains(specs, length, prefix + (spec.name,))
+
+
 def enumerate_cycles(
     alphabet: Sequence[str],
     length: int,
@@ -338,15 +359,27 @@ def enumerate_cycles(
     ``require`` lists edges at least one of which must appear; ``forbid``
     lists edges that must not.  Results are sorted deterministically, so
     suite construction is reproducible.
+
+    Cycles are extended edge by edge rather than drawn from the full
+    ``alphabet ** length`` product: each appended edge starts at the
+    event type the previous one ends at, and the last edge is external
+    and ends at the type the first one starts at.  Every string this
+    skips fails :func:`validate_cycle`'s type-chaining or wrap-around
+    check, so the result equals filtering the whole product.
     """
+    if not isinstance(length, int) or length < 0:
+        raise LitmusError(
+            f"cycle length must be a non-negative int, got {length!r}"
+        )
     for name in tuple(alphabet) + tuple(require) + tuple(forbid):
         if name not in CYCLE_EDGES:
             raise LitmusError(f"unknown cycle edge {name!r}")
+    specs = [
+        CYCLE_EDGES[name] for name in dict.fromkeys(alphabet) if name not in forbid
+    ]
     found = set()
-    for combo in itertools.product(alphabet, repeat=length):
+    for combo in _typed_chains(specs, length):
         if require and not any(r in combo for r in require):
-            continue
-        if any(f in combo for f in forbid):
             continue
         if validate_cycle(combo) is not None:
             continue

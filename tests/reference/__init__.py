@@ -6,4 +6,6 @@ in ``src/``: nothing in the product chooses between them.
   re-simulates the design for every walk (oracle for ``GraphExplorer``).
 * :mod:`tests.reference.snapshots` — nested-tuple design snapshots
   (oracle for the interned slot-vector encoding).
+* :mod:`tests.reference.diy` — diy cycle enumeration over the full edge
+  product (oracle for the type-chained ``enumerate_cycles``).
 """

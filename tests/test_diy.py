@@ -12,7 +12,9 @@ from repro.litmus.diy import (
     generate_from_cycle,
     validate_cycle,
 )
+from repro.litmus.suite import FULL_ALPHABET, SAFE_ALPHABET
 from repro.memodel import sc_forbidden
+from tests.reference.diy import enumerate_cycles as product_enumerate_cycles
 
 
 class TestEdgeAlphabet:
@@ -137,12 +139,70 @@ class TestEnumeration:
         with pytest.raises(LitmusError):
             enumerate_cycles(("PodWR",), 3, require=("Bogus",))
 
+    @pytest.mark.parametrize("length", [-1, 2.0, "3", None])
+    def test_bad_length_raises(self, length):
+        with pytest.raises(LitmusError, match="length"):
+            enumerate_cycles(tuple(CYCLE_EDGES), length)
+
+
+ALPHABETS = {
+    "full": FULL_ALPHABET,
+    "safe": SAFE_ALPHABET,
+    "all": tuple(CYCLE_EDGES),
+}
+FILTERS = {
+    "none": {},
+    "podwr-not-rfi": {"require": ("PodWR",), "forbid": ("Rfi",)},
+    "rfi": {"require": ("Rfi",)},
+    "not-rfe": {"forbid": ("Rfe",)},
+}
+
+
+class TestEnumerationMatchesProduct:
+    """The type-chained enumerator returns exactly the list that
+    filtering the full edge product returns."""
+
+    @pytest.mark.parametrize("length", range(6))
+    @pytest.mark.parametrize("filters", sorted(FILTERS))
+    @pytest.mark.parametrize("alphabet", sorted(ALPHABETS))
+    def test_matches_product(self, alphabet, filters, length):
+        args = (ALPHABETS[alphabet], length)
+        assert enumerate_cycles(*args, **FILTERS[filters]) == (
+            product_enumerate_cycles(*args, **FILTERS[filters])
+        )
+
+    def test_rfi_suite_pool_matches_product(self):
+        # The one length-6 pool suite construction reads.
+        args = (FULL_ALPHABET, 6)
+        assert enumerate_cycles(*args, require=("Rfi",)) == (
+            product_enumerate_cycles(*args, require=("Rfi",))
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alphabet=st.lists(
+            st.sampled_from(sorted(CYCLE_EDGES)), min_size=1, unique=True
+        ),
+        length=st.integers(min_value=0, max_value=5),
+        require=st.lists(st.sampled_from(sorted(CYCLE_EDGES)), max_size=2),
+        forbid=st.lists(st.sampled_from(sorted(CYCLE_EDGES)), max_size=2),
+    )
+    def test_random_sub_alphabets_match_product(
+        self, alphabet, length, require, forbid
+    ):
+        args = (alphabet, length, require, forbid)
+        assert enumerate_cycles(*args) == product_enumerate_cycles(*args)
+
 
 class TestSignature:
     def test_rotation_invariance(self):
         cycle = ("PodWR", "Fre", "PodWW", "Wse")
         rotated = ("PodWW", "Wse", "PodWR", "Fre")
         assert cycle_signature(cycle) == cycle_signature(rotated)
+
+    def test_unknown_edge_raises(self):
+        with pytest.raises(LitmusError, match="Bogus"):
+            cycle_signature(("Bogus",))
 
 
 @settings(max_examples=30, deadline=None)

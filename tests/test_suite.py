@@ -9,8 +9,53 @@ from repro.litmus import (
     get_test,
     paper_suite,
 )
-from repro.litmus.suite import MAX_CORES
+from repro.litmus import diy
+from repro.litmus.suite import MAX_CORES, SuiteBuilder
 from repro.memodel import sc_allowed
+
+
+#: The generating cycle of every diy-built suite test.  Any change in
+#: enumeration order or family selection shows up here as a readable
+#: diff.
+GENERATED_CYCLES = {
+    "podwr000": ("PodRW", "PodWR", "Fre", "Rfe"),
+    "podwr001": ("PodWR", "Fre", "PodWR", "Fre"),
+    "rfi000": ("PodRR", "Fre", "Rfi", "PodRW", "Rfe"),
+    "rfi001": ("PodRW", "PodWW", "Rfi", "Fre", "Rfe"),
+    "rfi002": ("PodRW", "Rfi", "Fre", "PodWW", "Rfe"),
+    "rfi003": ("PodRW", "Rfi", "PodRR", "Fre", "Rfe"),
+    "rfi004": ("PodRW", "Rfi", "PodRW", "Wse", "Rfe"),
+    "rfi005": ("PodRW", "Wse", "Rfi", "PodRW", "Rfe"),
+    "rfi006": ("PodWR", "Fre", "PodWW", "Rfi", "Fre"),
+    "rfi011": ("PodWW", "Rfi", "PodRR", "Fre", "Wse"),
+    "rfi012": ("PodWW", "Wse", "Rfi", "PodRR", "Fre"),
+    "rfi013": ("PodWW", "Wse", "Rfi", "PodRW", "Wse"),
+    "rfi014": ("Rfi", "PodRW", "PodWR", "Fre", "Wse"),
+    "rfi015": ("Fre", "PodWR", "Fre", "Rfi", "PodRW", "Rfe"),
+    "safe000": ("PodRR", "Fre", "PodWW", "Rfe"),
+    "safe001": ("PodRW", "PodWW", "Wse", "Rfe"),
+    "safe002": ("PodRW", "Rfe", "PodRW", "Rfe"),
+    "safe003": ("PodRW", "Wse", "PodWW", "Rfe"),
+    "safe004": ("PodWW", "Wse", "PodWW", "Wse"),
+    "safe006": ("Fre", "PodWW", "Wse", "PodWW", "Rfe"),
+    "safe007": ("Fre", "Rfe", "PodRW", "PodWW", "Rfe"),
+    "safe008": ("Fri", "PodWW", "Rfe", "PodRW", "Rfe"),
+    "safe009": ("Fri", "PodWW", "Wse", "PodWW", "Rfe"),
+    "safe010": ("Fri", "Rfe", "PodRW", "PodWW", "Rfe"),
+    "safe011": ("PodRR", "Fre", "PodWW", "PodWW", "Rfe"),
+    "safe012": ("PodRR", "Fre", "PodWW", "Wse", "Rfe"),
+    "safe014": ("PodRR", "Fre", "Rfe", "PodRW", "Rfe"),
+    "safe016": ("PodRR", "Fre", "Wsi", "PodWW", "Rfe"),
+    "safe017": ("PodRR", "Fri", "PodWW", "Wse", "Rfe"),
+    "safe018": ("PodRR", "Fri", "Rfe", "PodRW", "Rfe"),
+    "safe019": ("PodRR", "Fri", "Wse", "PodWW", "Rfe"),
+    "safe021": ("PodRW", "PodWW", "Rfe", "PodRW", "Rfe"),
+    "safe022": ("PodRW", "PodWW", "Wse", "PodWW", "Rfe"),
+    "safe026": ("PodRW", "Rfe", "PodRW", "Wse", "Rfe"),
+    "safe027": ("PodRW", "Rfe", "PodRW", "Wsi", "Rfe"),
+    "safe029": ("PodRW", "Wse", "PodWW", "Wse", "Rfe"),
+    "safe030": ("PodRW", "Wse", "PodWW", "Wsi", "Rfe"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +128,28 @@ class TestGeneratedFamilies:
         for test in suite:
             if test.name.startswith("podwr"):
                 assert "PodWR" in diy_cycle_of(test.name)
+
+    def test_generated_cycles_are_pinned(self, suite):
+        generated = {
+            test.name: diy_cycle_of(test.name)
+            for test in suite
+            if diy_cycle_of(test.name) is not None
+        }
+        assert generated == GENERATED_CYCLES
+
+    def test_build_validates_few_cycles(self, monkeypatch):
+        """Suite construction extends cycles along type-chained edges;
+        filtering the full edge product validated 553,278 candidates."""
+        calls = []
+        validate = diy.validate_cycle
+
+        def counting(cycle):
+            calls.append(cycle)
+            return validate(cycle)
+
+        monkeypatch.setattr(diy, "validate_cycle", counting)
+        SuiteBuilder().build()
+        assert 0 < len(calls) <= 10_000
 
     def test_generated_outcomes_are_sc_forbidden(self, suite):
         for test in suite:

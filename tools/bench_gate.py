@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """CI benchmark-regression gate.
 
-Runs a pinned, fast benchmark subset — cold reachability-graph builds,
-proof walks over prebuilt graphs, random-schedule simulation, and
-difftest oracle throughput — and writes
+Runs a pinned, fast benchmark subset — suite construction, cold
+reachability-graph builds, proof walks over prebuilt graphs,
+random-schedule simulation, and difftest oracle throughput — and writes
 the measurements to a JSON trajectory point (``BENCH_ci.json``).  With
 ``--baseline``/``--check`` it compares against the committed baseline
 (``benchmarks/baselines/ci_baseline.json``) and exits non-zero when any
@@ -62,6 +62,9 @@ COVERAGE_TESTS = ("mp", "sb", "iwp24")
 POLYCHECK_TESTS = ("mp", "sb", "iriw")
 POLYCHECK_SAMPLES = 8
 POLYCHECK_LONG_THREAD_OPS = 16
+#: One fresh suite build takes well under 0.1 s; several per sample keep
+#: the measurement in the range where timer noise is negligible.
+SUITE_BUILDS = 4
 
 
 def _calibration_workload() -> int:
@@ -87,6 +90,15 @@ def _expand_all(graph) -> None:
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)
+
+
+def _bench_suite_build() -> None:
+    """Fresh builds of the 56-test paper suite: hand-written tests plus
+    diy cycle enumeration and test generation for the three families."""
+    from repro.litmus.suite import SuiteBuilder
+
+    for _ in range(SUITE_BUILDS):
+        SuiteBuilder().build()
 
 
 def _bench_reachgraph() -> None:
@@ -219,6 +231,7 @@ def _bench_coverage() -> None:
 
 
 METRICS: Dict[str, Callable[[], None]] = {
+    "suite_build": _bench_suite_build,
     "reachgraph_build": _bench_reachgraph,
     "proof_walk": _bench_proof_walk,
     "simulation": _bench_simulation,
